@@ -35,24 +35,44 @@ def order_ideals(p: Poset):
 @lru_cache(maxsize=None)
 def posets_of_size(n: int, cap: int = DEFAULT_CAP):
     """One canonical representative per isomorphism class, sorted by key.
+    Each representative carries its canonical key.
 
     Grown by extension: every poset on n elements arises from one on n-1 by
-    adding a new maximal element whose down-set is an order ideal.
+    adding a new maximal element whose down-set is an order ideal. A
+    candidate is keyed only if its new element n-1 has the largest value,
+    among the maximal elements, of the invariant
+    (|down(x)|, sum of |down(y)| over y < x). No class is lost: take a
+    maximal element x of the class with the largest invariant. Removing x
+    leaves a poset isomorphic to some representative Q, and the isomorphism
+    maps down(x) to an order ideal of Q. Removing a maximal element changes
+    no other down-set, so the candidate built from Q and that ideal is
+    isomorphic to the class with n-1 in the place of x, and it is accepted.
     """
     if n > cap:
         raise CapExceeded(f"enumeration requested for n={n} above cap {cap}")
     if n < 1:
         raise CapExceeded("enumeration starts at n=1")
     if n == 1:
-        return (Poset([0]),)
+        return (canonical_form(Poset([0])),)
     reps = {}
+    top = 1 << (n - 1)
     for q in posets_of_size(n - 1, cap):
+        below = [row.bit_count() for row in q._down]
+        rivals = [
+            (m, (below[m], sum(below[y] for y in _bits(q._down[m]))))
+            for m in q.maximal_elements()
+        ]
         for ideal in order_ideals(q):
             rows = list(q._up)
             rows.append(0)
+            mass = 0
             for d in _bits(ideal):
-                rows[d] |= 1 << (n - 1)
+                rows[d] |= top
+                mass += below[d]
             cand = Poset(rows)
+            new = (ideal.bit_count(), mass)
+            if any(new < inv for m, inv in rivals if not ideal >> m & 1):
+                continue
             key = canonical_key(cand)
             if key not in reps:
                 reps[key] = canonical_form(cand)

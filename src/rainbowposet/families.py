@@ -526,7 +526,13 @@ def family_from_text(text: str) -> SetFamily:
         if not line or line.startswith("#"):
             continue
         if line.startswith("family"):
+            if n is not None:
+                raise BadParams("more than one family header in input")
             fields = dict(kv.split("=", 1) for kv in line.split()[1:] if "=" in kv)
+            if "n" not in fields:
+                raise BadParams("family header is missing n=<count>")
+            if not fields["n"].isdecimal():
+                raise BadParams(f"family header n={fields['n']} is not a count")
             n = int(fields["n"])
             continue
         if line == "{}":

@@ -7,17 +7,30 @@ All values are immutable and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 from .errors import BadParams, CapExceeded, CyclicInput
 
 
-def _bits(mask: int):
-    """Iterate set bit positions of mask, ascending."""
+def _scan_bits(mask: int) -> tuple:
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
+
+
+# Set bit positions of every mask on up to 10 elements (the catalog sizes).
+_SMALL_BITS = tuple(_scan_bits(mask) for mask in range(1 << 10))
+
+
+def _bits(mask: int) -> tuple:
+    """Set bit positions of a non-negative mask, ascending."""
+    if mask < 1024:
+        return _SMALL_BITS[mask]
+    return _scan_bits(mask)
 
 
 class Poset:
@@ -309,16 +322,21 @@ def _refined_classes(p: Poset):
     """
     n = p.n
     rk = rank_partition(p).rank
-    sig = [(p._down[x].bit_count(), p._up[x].bit_count(), rk[x]) for x in range(n)]
+    ups = [_bits(row) for row in p._up]
+    downs = [_bits(row) for row in p._down]
+    sig = [(len(downs[x]), len(ups[x]), rk[x]) for x in range(n)]
     while True:
         code = {s: i for i, s in enumerate(sorted(set(sig)))}
         coded = [code[s] for s in sig]
-        new = []
-        for x in range(n):
-            ups = sorted(coded[y] for y in _bits(p._up[x]))
-            downs = sorted(coded[y] for y in _bits(p._down[x]))
-            new.append((coded[x], tuple(ups), tuple(downs)))
-        if len(set(new)) == len(set(sig)):
+        new = [
+            (
+                coded[x],
+                tuple(sorted([coded[y] for y in ups[x]])),
+                tuple(sorted([coded[y] for y in downs[x]])),
+            )
+            for x in range(n)
+        ]
+        if len(set(new)) == len(code):
             break
         sig = new
     classes = {}
@@ -334,6 +352,12 @@ def _canonical_search(p: Poset):
     rel(i, j), rel(j, i) for j < i are appended, pruning against the best
     prefix so far. Returns (payload_int, total_bits, permutation) where
     permutation[position] = original element.
+
+    Twins (elements with equal up and down rows) are tried only in block
+    order: a position takes a twin only once every earlier twin in its block
+    is placed. Swapping two twins is an automorphism, so a skipped subtree
+    holds the same bit strings as a tried one, and the first minimal leaf
+    (hence the permutation) is the one the unpruned search finds.
     """
     n = p.n
     slots = [list(block) for block in _refined_classes(p)]
@@ -341,7 +365,17 @@ def _canonical_search(p: Poset):
     owner = []
     for bi, block in enumerate(slots):
         owner.extend([bi] * len(block))
-    up = p._up
+    up, down = p._up, p._down
+    # index in the same block of the previous twin of each element, or -1
+    prev_twin = []
+    for block in slots:
+        last = {}
+        prev = []
+        for j, elem in enumerate(block):
+            rows = (up[elem], down[elem])
+            prev.append(last.get(rows, -1))
+            last[rows] = j
+        prev_twin.append(prev)
     total_bits = n * (n - 1)
     best_prefix = [None] * (n + 1)
     best_perm = None
@@ -361,16 +395,18 @@ def _canonical_search(p: Poset):
             return
         block = slots[owner[i]]
         flags = used[owner[i]]
+        prev = prev_twin[owner[i]]
         for j, elem in enumerate(block):
-            if flags[j]:
+            if flags[j] or (prev[j] >= 0 and not flags[prev[j]]):
                 continue
-            bits = 0
-            row = up[elem]
+            # rel(elem, perm[d]) then rel(perm[d], elem), for d < i
+            above = below = 0
+            row_up, row_down = up[elem], down[elem]
             for d in range(i):
-                bits = (bits << 1) | (row >> perm[d] & 1)
-            for d in range(i):
-                bits = (bits << 1) | (up[perm[d]] >> elem & 1)
-            nxt = (cur << (2 * i)) | bits
+                placed = perm[d]
+                above = (above << 1) | (row_up >> placed & 1)
+                below = (below << 1) | (row_down >> placed & 1)
+            nxt = (((cur << i) | above) << i) | below
             if best_prefix[i + 1] is not None and nxt > best_prefix[i + 1]:
                 continue
             flags[j] = True
@@ -391,9 +427,18 @@ def canonical_key(p: Poset) -> bytes:
     return p._key
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> tuple:
+    return tuple(range(n))
+
+
 def canonical_form(p: Poset) -> Poset:
-    """Relabeled copy realizing the canonical key."""
-    canonical_key(p)
+    """Relabeled copy realizing the canonical key. It carries that key and
+    the identity permutation, which is what its own search would find: its
+    refined classes are consecutive index ranges and identity is the first
+    relabeling that reproduces its rows."""
+    if p._key is None:
+        canonical_key(p)
     perm = p._perm  # position -> original element
     inv = {e: i for i, e in enumerate(perm)}
     rows = []
@@ -402,7 +447,10 @@ def canonical_form(p: Poset) -> Poset:
         for y in _bits(p._up[perm[i]]):
             row |= 1 << inv[y]
         rows.append(row)
-    return Poset(rows, validate=False)
+    form = Poset(rows, validate=False)
+    form._key = p._key
+    form._perm = _identity(p.n)
+    return form
 
 
 def are_isomorphic(p: Poset, q: Poset) -> bool:

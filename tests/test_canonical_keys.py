@@ -1,0 +1,107 @@
+"""Canonical keys and the catalog: pinned bytes, and the extension filter
+checked against a naive oracle that keys every candidate."""
+
+import hashlib
+import random
+
+from rainbowposet import (
+    Poset,
+    antichain,
+    canonical_form,
+    canonical_key,
+    make_poset,
+    posets_of_size,
+)
+from rainbowposet.catalog import order_ideals
+
+# sha256 digests of the byte streams built below, computed with the plain
+# search that keyed every extension and tried every relabeling. The cached
+# keys, the extension filter and twin pruning must reproduce them: any change
+# to a key, a representative row, the catalog order or a chosen relabeling
+# changes them.
+CATALOG_DIGEST = "5c18c97f96667e802990c5e940d508e62e07b85eb2fa81f37841b1ac01a457ef"
+RANDOM_DIGEST = "3bfc1f078409561c283ae14c3375018108a420b5b539888118fe2a1baaae758b"
+
+
+def _catalog_stream():
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for p in posets_of_size(n):
+            h.update(canonical_key(p))
+            h.update(repr(p._up).encode())
+    return h.hexdigest()
+
+
+def random_labeled_posets(count=1500, seed=20251118):
+    """Seeded labeled posets on 1..8 elements: random arcs along a random
+    linear order, closed transitively. Densities run from sparse (many
+    antichain twins) to dense (many chains), so twins are common."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = 1 + i % 8
+        density = (0.0, 0.05, 0.15, 0.3, 0.5, 0.7, 0.9)[(i // 8) % 7]
+        order = list(range(n))
+        rng.shuffle(order)
+        arcs = [
+            (order[a], order[b])
+            for a in range(n)
+            for b in range(a + 1, n)
+            if rng.random() < density
+        ]
+        out.append(make_poset(n, arcs))
+    return out
+
+
+def _random_stream():
+    h = hashlib.sha256()
+    for p in random_labeled_posets():
+        h.update(canonical_key(p))
+        h.update(repr(canonical_form(p)._up).encode())
+        h.update(repr(p._perm).encode())
+    return h.hexdigest()
+
+
+def test_catalog_keys_and_rows_are_pinned():
+    assert _catalog_stream() == CATALOG_DIGEST
+
+
+def test_random_keys_forms_and_relabelings_are_pinned():
+    assert _random_stream() == RANDOM_DIGEST
+
+
+def _naive_keys(n):
+    """Oracle: extend every representative of size n-1 by every order ideal
+    and key every candidate, with no filter."""
+    keys = set()
+    for q in posets_of_size(n - 1):
+        for ideal in order_ideals(q):
+            rows = list(q._up) + [0]
+            for d in range(n - 1):
+                if ideal >> d & 1:
+                    rows[d] |= 1 << (n - 1)
+            keys.add(canonical_key(Poset(rows)))
+    return keys
+
+
+def test_filtered_extension_matches_naive_oracle():
+    for n in (6, 7):
+        reps = posets_of_size(n)
+        assert {canonical_key(p) for p in reps} == _naive_keys(n)
+
+
+def test_cached_keys_match_fresh_keys():
+    for n in range(1, 8):
+        for p in posets_of_size(n):
+            fresh = Poset(p._up)
+            assert fresh._key is None
+            assert p._key == canonical_key(fresh)
+            assert p._perm == fresh._perm == tuple(range(n))
+            assert canonical_form(p).same_relation(p)
+
+
+def test_twins_do_not_blow_up_the_search():
+    # 16! relabelings without twin pruning; one per position with it
+    for k in (8, 12, 16):
+        key = canonical_key(antichain(k))
+        assert key == bytes([k]) + bytes((k * (k - 1) + 7) // 8)

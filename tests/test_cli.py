@@ -1,6 +1,10 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -94,6 +98,37 @@ def test_family_commands(tmp_path, capsys):
     assert code == 0 and json.loads(out)["value"] == "5/3"
     code, out = run_cli(capsys, "minmax", str(fam))
     assert code == 0 and json.loads(out)["identity_holds"] is True
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["family\n1\n", "family n=x\n1\n", "family n=3\n1\nfamily n=4\n4\n"],
+)
+def test_bad_family_header_is_a_usage_error(tmp_path, capsys, text):
+    fam = tmp_path / "bad.family"
+    fam.write_text(text)
+    code = main(["lubell", str(fam)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowposet", "sigma", "4", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"schema": 1, "value": 10}
 
 
 def test_lar_star(tmp_path, capsys):

@@ -258,3 +258,17 @@ class TestTextFormat:
     def test_bad_element(self):
         with pytest.raises(BadParams):
             family_from_text("family n=3\n5\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "family\n1\n",
+            "family size=3\n1\n",
+            "family n=three\n1\n",
+            "family n=-1\n",
+            "family n=3\n1\nfamily n=4\n4\n",
+        ],
+    )
+    def test_bad_header(self, text):
+        with pytest.raises(BadParams):
+            family_from_text(text)
