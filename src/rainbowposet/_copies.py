@@ -1,8 +1,10 @@
-"""Backtracking kernel for induced-copy existence with color and anchor filters.
+"""Backtracking kernel for induced copies with active, color and anchor filters.
 
 Hosts are passed as bit rows so the same kernel serves posets and set
 families. Patterns are preprocessed once into a plan holding, for every
-possible anchor vertex, a static search order and per-step constraints.
+possible anchor vertex, a static search order with per-step constraints,
+and the up- and down-degree of every distinct role. One recursive extender
+answers existence (it stops at the first copy) and collects every copy.
 """
 
 from __future__ import annotations
@@ -34,15 +36,19 @@ def _order_from(pattern_up, pattern_down, m, first):
 
 
 class PatternPlan:
-    """Precomputed search orders and constraints for one pattern poset."""
+    """Precomputed search steps and anchor roles for one pattern poset.
 
-    __slots__ = ("m", "orders", "steps", "up", "down")
+    `steps[first]` is the search from anchor vertex `first` (None: no
+    anchor); its step i is (constraints, is_last), where the constraints
+    list (j, relation) of the image of step i to the image of each earlier
+    step j. `roles` holds one (v, |up(v)|, |down(v)|) per distinct
+    (up row, down row) pair of the pattern.
+    """
+
+    __slots__ = ("m", "steps", "roles")
 
     def __init__(self, pattern_up, pattern_down, m):
         self.m = m
-        self.up = pattern_up
-        self.down = pattern_down
-        self.orders = {}
         self.steps = {}
         for first in [None] + list(range(m)):
             order = _order_from(pattern_up, pattern_down, m, first)
@@ -57,9 +63,15 @@ class PatternPlan:
                         cons.append((j, _BELOW))
                     else:
                         cons.append((j, _INCOMP))
-                steps.append(tuple(cons))
-            self.orders[first] = tuple(order)
+                steps.append((tuple(cons), i == m - 1))
             self.steps[first] = tuple(steps)
+        roles = {}
+        for v in range(m):
+            roles.setdefault(
+                (pattern_up[v], pattern_down[v]),
+                (v, pattern_up[v].bit_count(), pattern_down[v].bit_count()),
+            )
+        self.roles = tuple(roles.values())
 
 
 @lru_cache(maxsize=512)
@@ -71,121 +83,99 @@ def plan_for(pattern):
     return _plan_cached(pattern._up, pattern._down, pattern.n)
 
 
+def _extend(up, down, steps, image, i, avail, colors, colorbits, found):
+    """Map steps i.. onto `avail` (the active host elements not yet used),
+    given the images of steps < i; with `colors`, no color may repeat among
+    `colorbits`. Returns True at the first complete copy when `found` is
+    None; otherwise adds every complete copy to `found` as a sorted element
+    tuple and returns False.
+
+    Every candidate lies in `avail`, so it is active, unused and distinct
+    from each earlier image w: "incomparable to w" is ~(up[w] | down[w]).
+    """
+    cons, last = steps[i]
+    cand = avail
+    for j, rel in cons:
+        w = image[j]
+        if rel == _ABOVE:
+            cand &= up[w]
+        elif rel == _BELOW:
+            cand &= down[w]
+        else:
+            cand &= ~(up[w] | down[w])
+        if not cand:
+            return False
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        x = low.bit_length() - 1
+        bits = colorbits
+        if colors is not None:
+            cbit = 1 << colors[x]
+            if bits & cbit:
+                continue
+            bits |= cbit
+        image[i] = x
+        if last:
+            if found is None:
+                return True
+            found.add(tuple(sorted(image)))
+        elif _extend(up, down, steps, image, i + 1, avail ^ low, colors, bits, found):
+            return True
+    return False
+
+
 def exists_copy(host_up, host_down, n, plan, *, active=None, colors=None, anchor=None):
     """True iff an induced copy of the plan's pattern exists among the active
     host elements, with pairwise-distinct colors when `colors` is given and
-    containing `anchor` when given."""
+    containing `anchor` when given.
+
+    An anchored call tries the anchor in each distinct role of the pattern,
+    skipping a role whose up- or down-degree exceeds the number of active
+    elements above or below the anchor.
+    """
     m = plan.m
-    full = (1 << n) - 1 if active is None else active
-    if m > full.bit_count():
+    if active is None:
+        active = (1 << n) - 1
+    if m > active.bit_count():
         return False
     if m == 0:
         return True
-    incomp = {}
-
-    def row_incomp(x):
-        r = incomp.get(x)
-        if r is None:
-            r = ~(host_up[x] | host_down[x] | (1 << x)) & full
-            incomp[x] = r
-        return r
-
-    def search(first, pinned):
-        order = plan.orders[first]
-        steps = plan.steps[first]
-        image = [0] * m
-        start = 0
-        used0 = 0
-        colorbits0 = 0
-        if first is not None:
-            image[0] = pinned
-            start = 1
-            used0 = 1 << pinned
-            if colors is not None:
-                colorbits0 = 1 << colors[pinned]
-
-        def rec(i, used, colorbits):
-            if i == m:
-                return True
-            cand = full & ~used
-            for j, rel in steps[i]:
-                w = image[j]
-                if rel == _ABOVE:
-                    cand &= host_up[w]
-                elif rel == _BELOW:
-                    cand &= host_down[w]
-                else:
-                    cand &= row_incomp(w)
-                if not cand:
-                    return False
-            while cand:
-                low = cand & -cand
-                x = low.bit_length() - 1
-                cand ^= low
-                if colors is None:
-                    image[i] = x
-                    if rec(i + 1, used | low, 0):
-                        return True
-                else:
-                    cbit = 1 << colors[x]
-                    if not colorbits & cbit:
-                        image[i] = x
-                        if rec(i + 1, used | low, colorbits | cbit):
-                            return True
-            return False
-
-        return rec(start, used0, colorbits0)
-
     if anchor is None:
-        return search(None, None)
-    if not full >> anchor & 1:
+        return _extend(
+            host_up, host_down, plan.steps[None], [0] * m, 0, active, colors, 0, None
+        )
+    if not active >> anchor & 1:
         return False
-    seen_roles = set()
-    for v in range(m):
-        role = (plan.up[v], plan.down[v])
-        if role in seen_roles:
-            continue
-        seen_roles.add(role)
-        if search(v, anchor):
+    if m == 1:
+        return True
+    above = (host_up[anchor] & active).bit_count()
+    below = (host_down[anchor] & active).bit_count()
+    avail = active ^ (1 << anchor)
+    colorbits = 0 if colors is None else 1 << colors[anchor]
+    image = [anchor] * m  # step 0 of every anchored search maps to the anchor
+    for v, need_above, need_below in plan.roles:
+        if (
+            need_above <= above
+            and need_below <= below
+            and _extend(
+                host_up, host_down, plan.steps[v], image, 1, avail, colors, colorbits, None
+            )
+        ):
             return True
     return False
 
 
 def all_copies_colored(host_up, host_down, n, plan, colors, active=None):
-    """All rainbow induced copies as sorted element tuples (for small hosts)."""
+    """All induced copies among the active host elements as sorted element
+    tuples, in ascending order; only the rainbow ones unless `colors` is
+    None."""
     m = plan.m
-    full = (1 << n) - 1 if active is None else active
-    out = set()
     if m == 0:
         return [()]
-    order = plan.orders[None]
-    steps = plan.steps[None]
-    incomp = [~(host_up[x] | host_down[x] | (1 << x)) & full for x in range(n)]
-    image = [0] * m
-
-    def rec(i, used, colorbits):
-        if i == m:
-            out.add(tuple(sorted(image)))
-            return
-        cand = full & ~used
-        for j, rel in steps[i]:
-            w = image[j]
-            if rel == _ABOVE:
-                cand &= host_up[w]
-            elif rel == _BELOW:
-                cand &= host_down[w]
-            else:
-                cand &= incomp[w]
-            if not cand:
-                return
-        while cand:
-            low = cand & -cand
-            x = low.bit_length() - 1
-            cand ^= low
-            cbit = 1 << colors[x]
-            if not colorbits & cbit:
-                image[i] = x
-                rec(i + 1, used | low, colorbits | cbit)
-
-    rec(0, 0, 0)
-    return sorted(out)
+    if active is None:
+        active = (1 << n) - 1
+    found = set()
+    if m <= active.bit_count():
+        _extend(host_up, host_down, plan.steps[None], [0] * m, 0, active, colors, 0, found)
+    return sorted(found)

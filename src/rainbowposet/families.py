@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb
 from typing import Optional
@@ -16,7 +17,7 @@ from typing import Optional
 from ._copies import exists_copy, plan_for
 from .errors import BadParams, CapExceeded, PreconditionViolated
 from .forcing import Coloring, has_rainbow_copy, refuting_coloring, is_proper
-from .poset import Poset
+from .poset import Poset, _bits
 
 LA_STAR_CAP = 4
 MINMAX_CAP = 8
@@ -233,66 +234,21 @@ class LaResult:
     coloring: Optional[Coloring] = None
 
 
-def _family_rows(masks):
-    """Bit rows of the containment order on a mask list."""
-    up = []
-    down = []
-    for a in masks:
-        u = d = 0
-        for j, b in enumerate(masks):
-            if a == b:
-                continue
+@lru_cache(maxsize=16)
+def _cube_rows(n):
+    """Containment bit rows of the whole n-cube, indexed by mask: up[a] holds
+    the strict supersets of a and down[a] its strict subsets. The family
+    searches pass a family to the copy kernel as an `active` mask over these
+    rows."""
+    total = 1 << n
+    up = [0] * total
+    down = [0] * total
+    for a in range(total):
+        for b in range(a + 1, total):
             if a & b == a:
-                u |= 1 << j
-            elif a & b == b:
-                d |= 1 << j
-        up.append(u)
-        down.append(d)
-    return up, down
-
-
-class _GrowingFamily:
-    """Mask list plus incrementally maintained containment bit rows."""
-
-    __slots__ = ("masks", "up", "down")
-
-    def __init__(self, masks=()):
-        self.masks = list(masks)
-        self.up, self.down = _family_rows(self.masks)
-
-    def push(self, mask):
-        """Append a new distinct mask; relations against existing sets are
-        filled both ways."""
-        k = len(self.masks)
-        row_u = row_d = 0
-        for j, b in enumerate(self.masks):
-            if mask == b:
-                raise BadParams("mask already present")
-            if mask & b == mask:
-                row_u |= 1 << j
-                self.down[j] |= 1 << k
-            elif mask & b == b:
-                row_d |= 1 << j
-                self.up[j] |= 1 << k
-        self.masks.append(mask)
-        self.up.append(row_u)
-        self.down.append(row_d)
-        return k
-
-    def pop(self):
-        k = len(self.masks) - 1
-        self.masks.pop()
-        self.up.pop()
-        self.down.pop()
-        clear = ~(1 << k)
-        for j in range(k):
-            self.up[j] &= clear
-            self.down[j] &= clear
-
-    def creates_copy(self, plan):
-        """Does some plan pattern occur anchored at the newest set?"""
-        k = len(self.masks) - 1
-        return exists_copy(self.up, self.down, k + 1, plan, anchor=k)
+                up[a] |= 1 << b
+                down[b] |= 1 << a
+    return tuple(up), tuple(down)
 
 
 def la_star(n: int, patterns) -> LaResult:
@@ -303,27 +259,30 @@ def la_star(n: int, patterns) -> LaResult:
         raise CapExceeded(f"exhaustive la_star is limited to n <= {LA_STAR_CAP}")
     plans = [plan_for(p) for p in patterns]
     total = 1 << n
+    up, down = _cube_rows(n)
     best_size = -1
-    best = None
-    fam = _GrowingFamily()
+    best = 0
 
-    def rec(next_mask):
+    def rec(next_mask, fam):
         nonlocal best_size, best
-        if len(fam.masks) > best_size:
-            best_size = len(fam.masks)
-            best = tuple(fam.masks)
+        size = fam.bit_count()
+        if size > best_size:
+            best_size = size
+            best = fam
         if next_mask == total:
             return
-        if len(fam.masks) + (total - next_mask) <= best_size:
+        if size + (total - next_mask) <= best_size:
             return
-        fam.push(next_mask)
-        if not any(fam.creates_copy(pl) for pl in plans):
-            rec(next_mask + 1)
-        fam.pop()
-        rec(next_mask + 1)
+        grown = fam | 1 << next_mask
+        if not any(
+            exists_copy(up, down, total, pl, active=grown, anchor=next_mask)
+            for pl in plans
+        ):
+            rec(next_mask + 1, grown)
+        rec(next_mask + 1, fam)
 
-    rec(0)
-    return LaResult(value=best_size, witness=SetFamily.from_masks(n, best))
+    rec(0, 0)
+    return LaResult(value=best_size, witness=SetFamily.from_masks(n, _bits(best)))
 
 
 def la_rainbow_star(n: int, pattern: Poset, budget_s=None) -> LaResult:
@@ -385,27 +344,30 @@ def la_star_bracket(n: int, patterns, node_budget: int = 500_000):
         raise CapExceeded("bracket mode reaches one past the exhaustive cap")
     plans = [plan_for(p) for p in patterns]
     total = 1 << n
-    fam = _GrowingFamily()
+    up, down = _cube_rows(n)
     state = {"best": 0, "budget": node_budget, "open": 0}
 
-    def rec(next_mask):
+    def rec(next_mask, fam):
+        size = fam.bit_count()
         if state["budget"] <= 0:
-            state["open"] = max(state["open"], len(fam.masks) + (total - next_mask))
+            state["open"] = max(state["open"], size + (total - next_mask))
             return
         state["budget"] -= 1
-        if len(fam.masks) > state["best"]:
-            state["best"] = len(fam.masks)
+        if size > state["best"]:
+            state["best"] = size
         if next_mask == total:
             return
-        if len(fam.masks) + (total - next_mask) <= state["best"]:
+        if size + (total - next_mask) <= state["best"]:
             return
-        fam.push(next_mask)
-        if not any(fam.creates_copy(pl) for pl in plans):
-            rec(next_mask + 1)
-        fam.pop()
-        rec(next_mask + 1)
+        grown = fam | 1 << next_mask
+        if not any(
+            exists_copy(up, down, total, pl, active=grown, anchor=next_mask)
+            for pl in plans
+        ):
+            rec(next_mask + 1, grown)
+        rec(next_mask + 1, fam)
 
-    rec(0)
+    rec(0, 0)
     lower = state["best"]
     upper = lower if state["budget"] > 0 else max(lower, state["open"])
     return lower, upper
@@ -447,42 +409,45 @@ def max_mass_pattern_free_with_extremes(n: int, pattern: Poset):
     if n > 4:
         raise CapExceeded("exhaustive mass maximization is limited to n <= 4")
     plan = plan_for(pattern)
-    middles = list(range(1, (1 << n) - 1))
+    total = 1 << n
+    up, down = _cube_rows(n)
+    middles = list(range(1, total - 1))
     weights = [Fraction(1, comb(n, m.bit_count())) for m in middles]
     suffix = [Fraction(0)] * (len(middles) + 1)
     for i in range(len(middles) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
-    fam = _GrowingFamily([0, (1 << n) - 1])
-    best = [Fraction(0), tuple(fam.masks)]
+    extremes = 1 | 1 << (total - 1)
+    best = [Fraction(0), extremes]
 
-    def rec(i, mass):
+    def rec(i, fam, mass):
         if mass > best[0]:
             best[0] = mass
-            best[1] = tuple(fam.masks)
+            best[1] = fam
         if i == len(middles) or mass + suffix[i] <= best[0]:
             return
-        fam.push(middles[i])
-        if not fam.creates_copy(plan):
-            rec(i + 1, mass + weights[i])
-        fam.pop()
-        rec(i + 1, mass)
+        grown = fam | 1 << middles[i]
+        if not exists_copy(up, down, total, plan, active=grown, anchor=middles[i]):
+            rec(i + 1, grown, mass + weights[i])
+        rec(i + 1, fam, mass)
 
-    rec(0, Fraction(2))
-    return best[0], SetFamily.from_masks(n, best[1])
+    rec(0, extremes, Fraction(2))
+    return best[0], SetFamily.from_masks(n, _bits(best[1]))
 
 
 def greedy_pattern_free_family(n: int, pattern: Poset, rng) -> SetFamily:
     """Random-insertion-order maximal pattern-free family. A heuristic
     explorer for mass bounds at sizes beyond the exhaustive cap."""
     plan = plan_for(pattern)
-    order = list(range(1 << n))
+    total = 1 << n
+    up, down = _cube_rows(n)
+    order = list(range(total))
     rng.shuffle(order)
-    fam = _GrowingFamily()
+    fam = 0
     for mask in order:
-        fam.push(mask)
-        if fam.creates_copy(plan):
-            fam.pop()
-    return SetFamily.from_masks(n, fam.masks)
+        fam |= 1 << mask
+        if exists_copy(up, down, total, plan, active=fam, anchor=mask):
+            fam ^= 1 << mask
+    return SetFamily.from_masks(n, _bits(fam))
 
 
 def iter_antichain_families(n: int):

@@ -212,18 +212,26 @@ def refuting_coloring(
 _VERDICT_CACHE: dict = {}
 
 
-def _forces(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S) -> bool:
-    """Cached boolean forcing decision, keyed by isomorphism classes."""
+def _verdict(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S):
+    """Cached forcing decision, keyed by isomorphism classes, as (forces,
+    refutation). The refutation is the one a cache miss just computed for
+    this labeling; it is None when the host forces or the verdict came from
+    the cache."""
     if pattern.n > host.n or not exists_copy(
         host._up, host._down, host.n, plan_for(pattern)
     ):
-        return False
+        return False, None
     key = (canonical_key(host), canonical_key(pattern))
     hit = _VERDICT_CACHE.get(key)
-    if hit is None:
-        hit = refuting_coloring(host, pattern, budget_s) is None
-        _VERDICT_CACHE[key] = hit
-    return hit
+    if hit is not None:
+        return hit, None
+    refutation = refuting_coloring(host, pattern, budget_s)
+    _VERDICT_CACHE[key] = refutation is None
+    return refutation is None, refutation
+
+
+def _forces(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S) -> bool:
+    return _verdict(host, pattern, budget_s)[0]
 
 
 def rainbow_forces(
@@ -231,11 +239,13 @@ def rainbow_forces(
 ) -> ForcingVerdict:
     """Decide forcing; when the answer is no, attach the first refuting
     coloring found in canonical search order (re-verified before returning)."""
-    if _forces(host, pattern, budget_s):
+    forces, refutation = _verdict(host, pattern, budget_s)
+    if forces:
         return ForcingVerdict(forces=True, refutation=None)
-    refutation = refuting_coloring(host, pattern, budget_s)
-    if refutation is None:  # cache said non-forcing; recompute must agree
-        raise AssertionError("forcing verdict cache is inconsistent")
+    if refutation is None:
+        refutation = refuting_coloring(host, pattern, budget_s)
+        if refutation is None:  # cache said non-forcing; recompute must agree
+            raise AssertionError("forcing verdict cache is inconsistent")
     assert is_proper(host, refutation)
     assert not has_rainbow_copy(host, refutation, pattern)
     return ForcingVerdict(forces=False, refutation=refutation)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
+from ._copies import all_copies_colored, exists_copy, plan_for
 from .errors import BadParams, CapExceeded, CyclicInput
 
 
@@ -477,49 +478,13 @@ def isomorphic_by_bruteforce(p: Poset, q: Poset) -> bool:
 def induced_copies(host: Poset, pattern: Poset):
     """All element subsets of host that induce pattern, as sorted tuples in
     ascending lexicographic order. Exhaustive and duplicate-free."""
-    m, n = pattern.n, host.n
-    if m > n:
-        return ()
-    if m == 0:
-        return ((),)
-    deg = [
-        (pattern._up[v] | pattern._down[v]).bit_count() for v in range(m)
-    ]
-    order = sorted(range(m), key=lambda v: (-deg[v], v))
-    full = (1 << n) - 1
-    incomp_host = [~(host._up[x] | host._down[x] | (1 << x)) & full for x in range(n)]
-    found = set()
-    image = [0] * m
-
-    def rec(step, used_mask):
-        if step == m:
-            found.add(frozenset(image))
-            return
-        v = order[step]
-        cand = full & ~used_mask
-        for t in range(step):
-            w = order[t]
-            iw = image[w]
-            if pattern.less(v, w):
-                cand &= host._down[iw]
-            elif pattern.less(w, v):
-                cand &= host._up[iw]
-            else:
-                cand &= incomp_host[iw]
-            if not cand:
-                return
-        for x in _bits(cand):
-            image[v] = x
-            rec(step + 1, used_mask | (1 << x))
-
-    rec(0, 0)
-    return tuple(sorted(tuple(sorted(s)) for s in found))
+    return tuple(
+        all_copies_colored(host._up, host._down, host.n, plan_for(pattern), None)
+    )
 
 
 def contains_induced(host: Poset, pattern: Poset) -> bool:
     """Existence version of induced_copies."""
-    from ._copies import exists_copy, plan_for
-
     return exists_copy(host._up, host._down, host.n, plan_for(pattern))
 
 

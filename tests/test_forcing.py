@@ -144,6 +144,24 @@ class TestForcing:
         v = rainbow_forces(antichain(2), antichain(2))
         assert not v.forces and v.refutation.colors == (0, 0)
 
+    def test_one_forcing_search_per_cache_miss(self, monkeypatch):
+        from rainbowposet import forcing
+
+        calls = []
+
+        def counted(host, pattern, budget_s=None):
+            calls.append(host.n)
+            return refuting_coloring(host, pattern, budget_s)
+
+        monkeypatch.setattr(forcing, "_VERDICT_CACHE", {})
+        monkeypatch.setattr(forcing, "refuting_coloring", counted)
+        host = complete_multilevel([2, 2])
+        first = rainbow_forces(host, antichain(2))
+        assert not first.forces and len(calls) == 1
+        # A cache hit searches again for this labeling, and must agree.
+        again = rainbow_forces(host, antichain(2))
+        assert again == first and len(calls) == 2
+
     def test_deletion_monotonicity_spot_check(self):
         # if a deletion forces, the whole host forces
         patterns = [antichain(2), chain(3), vee()]
