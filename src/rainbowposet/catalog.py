@@ -69,10 +69,10 @@ def posets_of_size(n: int, cap: int = DEFAULT_CAP):
             for d in _bits(ideal):
                 rows[d] |= top
                 mass += below[d]
-            cand = Poset(rows)
             new = (ideal.bit_count(), mass)
             if any(new < inv for m, inv in rivals if not ideal >> m & 1):
                 continue
+            cand = Poset(rows)
             key = canonical_key(cand)
             if key not in reps:
                 reps[key] = canonical_form(cand)

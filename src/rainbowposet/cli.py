@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import constructions
@@ -45,27 +43,6 @@ from .treeembed import embed_universal, verify_certificate
 from .verify import run_suite
 
 SCHEMA = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide knobs; the defaults reproduce the verification suite."""
-
-    seed: int = 0
-    cap: int = 7
-    budget_s: float = 900.0
-    fmt: str = "json"
-    workers: int = 1
-
-
-def config_from(args) -> RunConfig:
-    return RunConfig(
-        seed=getattr(args, "seed", 0),
-        cap=getattr(args, "cap", 7),
-        budget_s=getattr(args, "budget", 900.0),
-        fmt="text" if getattr(args, "text", False) else "json",
-        workers=args.workers,
-    )
 
 
 BUILDERS = {
@@ -97,11 +74,11 @@ def _read_family(path):
 
 def _emit_json(payload, args):
     payload = {"schema": SCHEMA, **payload}
-    if getattr(args, "timings", False) and "_elapsed_ms" in payload:
+    if args.timings and "_elapsed_ms" in payload:
         payload["elapsed_ms"] = payload.pop("_elapsed_ms")
     else:
         payload.pop("_elapsed_ms", None)
-    if config_from(args).fmt == "text":
+    if args.text:
         for key in sorted(payload):
             if key != "schema":
                 print(f"{key}: {json.dumps(payload[key], sort_keys=True)}")
@@ -326,12 +303,6 @@ def build_parser():
     )
     parser.add_argument(
         "--text", action="store_true", help="key:value lines instead of JSON"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("RAINBOWPOSET_WORKERS", "1")),
-        help="worker count (searches currently run sequentially regardless)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -235,11 +235,12 @@ def universal_tree(k: int, cap: int = UNIVERSAL_TREE_CAP) -> UniversalTree:
         return len(side) - 1
 
     center = new_elem("center", 0)
-    frontier = []
 
-    def append_downtree_below(root, height_, rnd, s):
-        """Complete k-ary downtree of the given height whose maximum is
-        `root` (already present). Returns the new elements."""
+    def append_tree(root, height_, rnd, s):
+        """Complete k-ary tree of the given height on `root` (already
+        present), made of new elements on side s: a downtree whose maximum
+        is `root` when s is "down", an uptree whose minimum is `root` when
+        s is "up". Returns the new elements."""
         added = []
         level = [root]
         for _ in range(height_ - 1):
@@ -247,27 +248,13 @@ def universal_tree(k: int, cap: int = UNIVERSAL_TREE_CAP) -> UniversalTree:
             for v in level:
                 for _c in range(k):
                     w = new_elem(s, rnd)
-                    covers.append((w, v))
+                    covers.append((w, v) if s == "down" else (v, w))
                     nxt.append(w)
                     added.append(w)
             level = nxt
         return added
 
-    def append_uptree_above(root, height_, rnd, s):
-        added = []
-        level = [root]
-        for _ in range(height_ - 1):
-            nxt = []
-            for v in level:
-                for _c in range(k):
-                    w = new_elem(s, rnd)
-                    covers.append((v, w))
-                    nxt.append(w)
-                    added.append(w)
-            level = nxt
-        return added
-
-    frontier = append_downtree_below(center, k, 0, "down")
+    frontier = append_tree(center, k, 0, "down")
     core = (center, *frontier)
     regions = {}
 
@@ -275,12 +262,10 @@ def universal_tree(k: int, cap: int = UNIVERSAL_TREE_CAP) -> UniversalTree:
         """Mirsky rank of every element built so far, from the cover arcs."""
         n = len(side)
         below = [[] for _ in range(n)]
-        outdeg = [0] * n
         above = [[] for _ in range(n)]
         for a, b in covers:
             below[b].append(a)
             above[a].append(b)
-            outdeg[a] += 0
         rank = [0] * n
         indeg = [len(below[x]) for x in range(n)]
         stack = [x for x in range(n) if indeg[x] == 0]
@@ -301,9 +286,9 @@ def universal_tree(k: int, cap: int = UNIVERSAL_TREE_CAP) -> UniversalTree:
         next_frontier = []
         for e in frontier:
             if side[e] == "down":
-                new = append_uptree_above(e, k - rank[e] + 1, rnd, "up")
+                new = append_tree(e, k - rank[e] + 1, rnd, "up")
             else:
-                new = append_downtree_below(e, rank[e], rnd, "down")
+                new = append_tree(e, rank[e], rnd, "down")
             regions[e] = (e, *new)
             next_frontier.extend(new)
         frontier = next_frontier

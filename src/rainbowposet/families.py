@@ -251,21 +251,28 @@ def _cube_rows(n):
     return tuple(up), tuple(down)
 
 
-def la_star(n: int, patterns) -> LaResult:
-    """Exact maximum size of a family avoiding induced copies of every
-    pattern, with the lexicographically least witness. Exhaustive over all
-    families of the cube; n <= 4."""
-    if n > LA_STAR_CAP:
-        raise CapExceeded(f"exhaustive la_star is limited to n <= {LA_STAR_CAP}")
+def _pattern_free_search(n, patterns, node_budget):
+    """Include-first branch and bound over the masks of the n-cube in
+    increasing order, keeping the first largest family that avoids induced
+    copies of every pattern. Each node visited spends one unit of
+    `node_budget`; once it is spent, the remaining branches are cut. Returns
+    the best family mask and the largest size a cut branch could still
+    reach (0 if none was cut)."""
     plans = [plan_for(p) for p in patterns]
     total = 1 << n
     up, down = _cube_rows(n)
-    best_size = -1
+    best_size = 0
     best = 0
+    budget = node_budget
+    cut = 0
 
     def rec(next_mask, fam):
-        nonlocal best_size, best
+        nonlocal best_size, best, budget, cut
         size = fam.bit_count()
+        if budget <= 0:
+            cut = max(cut, size + (total - next_mask))
+            return
+        budget -= 1
         if size > best_size:
             best_size = size
             best = fam
@@ -282,7 +289,17 @@ def la_star(n: int, patterns) -> LaResult:
         rec(next_mask + 1, fam)
 
     rec(0, 0)
-    return LaResult(value=best_size, witness=SetFamily.from_masks(n, _bits(best)))
+    return best, cut
+
+
+def la_star(n: int, patterns) -> LaResult:
+    """Exact maximum size of a family avoiding induced copies of every
+    pattern, with the lexicographically least witness. Exhaustive over all
+    families of the cube; n <= 4."""
+    if n > LA_STAR_CAP:
+        raise CapExceeded(f"exhaustive la_star is limited to n <= {LA_STAR_CAP}")
+    best, _ = _pattern_free_search(n, patterns, float("inf"))
+    return LaResult(value=best.bit_count(), witness=SetFamily.from_masks(n, _bits(best)))
 
 
 def la_rainbow_star(n: int, pattern: Poset, budget_s=None) -> LaResult:
@@ -342,35 +359,9 @@ def la_star_bracket(n: int, patterns, node_budget: int = 500_000):
     (lower, upper); the bounds coincide when the budget sufficed."""
     if n > LA_STAR_CAP + 1:
         raise CapExceeded("bracket mode reaches one past the exhaustive cap")
-    plans = [plan_for(p) for p in patterns]
-    total = 1 << n
-    up, down = _cube_rows(n)
-    state = {"best": 0, "budget": node_budget, "open": 0}
-
-    def rec(next_mask, fam):
-        size = fam.bit_count()
-        if state["budget"] <= 0:
-            state["open"] = max(state["open"], size + (total - next_mask))
-            return
-        state["budget"] -= 1
-        if size > state["best"]:
-            state["best"] = size
-        if next_mask == total:
-            return
-        if size + (total - next_mask) <= state["best"]:
-            return
-        grown = fam | 1 << next_mask
-        if not any(
-            exists_copy(up, down, total, pl, active=grown, anchor=next_mask)
-            for pl in plans
-        ):
-            rec(next_mask + 1, grown)
-        rec(next_mask + 1, fam)
-
-    rec(0, 0)
-    lower = state["best"]
-    upper = lower if state["budget"] > 0 else max(lower, state["open"])
-    return lower, upper
+    best, cut = _pattern_free_search(n, patterns, node_budget)
+    lower = best.bit_count()
+    return lower, max(lower, cut)
 
 
 def middle_layers(n: int, k: int, include_extremes: bool = False) -> SetFamily:

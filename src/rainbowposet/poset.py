@@ -490,6 +490,11 @@ def contains_induced(host: Poset, pattern: Poset) -> bool:
 
 # --- text format ------------------------------------------------------------
 
+# Largest element count a poset header may declare, checked before anything
+# is allocated; far above the largest poset the toolkit builds (the
+# universal tree cap of 100,000 elements).
+POSET_TEXT_CAP = 1_000_000
+
 
 def poset_to_text(p: Poset) -> str:
     lines = [f"poset n={p.n}"]
@@ -523,7 +528,11 @@ def poset_from_text(text: str) -> Poset:
             )
             if "n" not in fields:
                 raise BadParams("poset header is missing n=<count>")
+            if not fields["n"].isdecimal():
+                raise BadParams(f"poset header n={fields['n']} is not a count")
             n = int(fields["n"])
+            if n > POSET_TEXT_CAP:
+                raise CapExceeded(f"poset header n={n} exceeds the cap {POSET_TEXT_CAP}")
             continue
         if "<" in line:
             a, b = line.split("<", 1)

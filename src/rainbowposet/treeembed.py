@@ -148,6 +148,49 @@ def verify_certificate(
 
 
 # --- hosts ---------------------------------------------------------------------
+#
+# A tree host is a complete k-ary tree of height h whose nodes carry colors,
+# ordered with the root on top. The embedders read a host only through:
+#   k, h                   arity and height (vertices on a root-leaf path);
+#   rank(v)                h minus the depth of v, so the root has rank h;
+#   children(v)            the nodes v covers, in a fixed order;
+#   color(v)               the color of v;
+#   has_color_below(v, c)  whether color c occurs at v or in its subtree;
+#   max_rank_usable(avoid) a highest-ranked node whose color is not in
+#                          avoid, or None;
+#   less(a, b)             a strictly below b in the tree order.
+# CompleteDowntreeHost computes these by arithmetic on a breadth-first
+# layout, so hosts too large to build as a Poset can be fuzzed;
+# OrientedTreeHost reads them from a poset, in either orientation.
+
+
+def _blocked_below(host, v: int, avoid) -> int:
+    """Number of colors in `avoid` that occur at v or below it."""
+    return sum(1 for c in avoid if host.has_color_below(v, c))
+
+
+def _read_downtree(p: Poset, orientation: str, what: str):
+    """(root, children, down rows) of p read as a downtree: 'down' reads p
+    as is, 'up' upside down. The root is the unique maximum in that
+    orientation; children[x] lists the elements x covers in index order,
+    and every element but the root is covered by exactly one element."""
+    up = p._up if orientation == "down" else p._down
+    down = p._down if orientation == "down" else p._up
+    roots = [x for x in range(p.n) if not up[x]]
+    if len(roots) != 1:
+        raise PreconditionViolated(f"{what} needs a unique extreme element")
+    kids = [[] for _ in range(p.n)]
+    for x in range(p.n):
+        rest = down[x]
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            rest ^= low
+            if not down[x] & up[y]:  # nothing strictly between: a cover
+                kids[x].append(y)
+    if sorted(y for ys in kids for y in ys) != [x for x in range(p.n) if x != roots[0]]:
+        raise PreconditionViolated(f"{what} is not a downtree")
+    return roots[0], [tuple(k) for k in kids], down
 
 
 class CompleteDowntreeHost:
@@ -221,9 +264,6 @@ class CompleteDowntreeHost:
             hi = self.k * hi + self.k
         return False
 
-    def avoid_below(self, v: int, avoid) -> int:
-        return sum(1 for c in avoid if self.has_color_below(v, c))
-
     def max_rank_usable(self, avoid) -> Optional[int]:
         if not avoid:
             return 0
@@ -286,23 +326,8 @@ class OrientedTreeHost:
 
     def __init__(self, poset: Poset, colors, orientation: str = "down", arity=None):
         n = poset.n
-        up = poset._up if orientation == "down" else poset._down
-        down = poset._down if orientation == "down" else poset._up
-        roots = [x for x in range(n) if not up[x]]
-        if len(roots) != 1:
-            raise PreconditionViolated("host tree needs a unique extreme element")
-        self.root = roots[0]
+        self.root, self._children, down = _read_downtree(poset, orientation, "host tree")
         self.colors = list(colors)
-        kids = [[] for _ in range(n)]
-        for x in range(n):
-            rest = down[x]
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                rest ^= low
-                if not down[x] & up[y]:  # nothing strictly between: a cover
-                    kids[x].append(y)
-        self._children = [tuple(sorted(c)) for c in kids]
         depth = [-1] * n
         depth[self.root] = 0
         frontier = [self.root]
@@ -316,8 +341,6 @@ class OrientedTreeHost:
             if nxt:
                 levels.append(tuple(sorted(nxt)))
             frontier = nxt
-        if any(d < 0 for d in depth):
-            raise PreconditionViolated("host tree is not connected from its root")
         self.h = len(levels)
         self.levels = levels
         self._depth = depth
@@ -345,11 +368,12 @@ class OrientedTreeHost:
     def color(self, v: int):
         return self.colors[v]
 
+    def less(self, a: int, b: int) -> bool:
+        """a strictly below b in the tree order: a lies in the subtree of b."""
+        return a != b and bool(self._subtree[b] >> a & 1)
+
     def has_color_below(self, v: int, color) -> bool:
         return bool(self._colormask.get(color, 0) & self._subtree[v])
-
-    def avoid_below(self, v: int, avoid) -> int:
-        return sum(1 for c in avoid if self.has_color_below(v, c))
 
     def max_rank_usable(self, avoid) -> Optional[int]:
         for level in self.levels:
@@ -367,26 +391,9 @@ def _pattern_downtree(t: Poset, orientation: str = "down"):
     downtree in the given orientation."""
     if not is_tree_poset(t):
         raise NotATreePoset("pattern must be a tree poset")
-    up = t._up if orientation == "down" else t._down
-    down = t._down if orientation == "down" else t._up
-    roots = [x for x in range(t.n) if not up[x]]
-    if len(roots) != 1:
-        raise PreconditionViolated("pattern needs a unique extreme element")
-    kids = [[] for _ in range(t.n)]
-    parent_count = [0] * t.n
-    for x in range(t.n):
-        rest = down[x]
-        while rest:
-            low = rest & -rest
-            y = low.bit_length() - 1
-            rest ^= low
-            if not down[x] & up[y]:
-                kids[x].append(y)
-                parent_count[y] += 1
-    if any(parent_count[x] != 1 for x in range(t.n) if x != roots[0]):
-        raise PreconditionViolated("pattern is not a downtree")
+    root, kids, down = _read_downtree(t, orientation, "pattern")
     sizes = [down[x].bit_count() + 1 for x in range(t.n)]
-    return roots[0], [tuple(sorted(k)) for k in kids], sizes
+    return root, kids, sizes
 
 
 def _embed_block(root, children_of, sizes, host, avoid):
@@ -402,7 +409,7 @@ def _embed_block(root, children_of, sizes, host, avoid):
     x = host.max_rank_usable(avoid)
     if x is None:
         raise PreconditionViolated("no usable color anywhere in the host")
-    if host.rank(x) < sizes[root] + host.avoid_below(x, avoid):
+    if host.rank(x) < sizes[root] + _blocked_below(host, x, avoid):
         raise PreconditionViolated("host cannot fit the pattern below its usable top")
     image[root] = x
     avoid.add(host.color(x))
@@ -417,7 +424,7 @@ def _embed_block(root, children_of, sizes, host, avoid):
         for i, tc in enumerate(kids):
             v = entries[i]
             while True:
-                slack = host.rank(v) - sizes[tc] - host.avoid_below(v, avoid)
+                slack = host.rank(v) - sizes[tc] - _blocked_below(host, v, avoid)
                 if slack < 0:
                     raise PreconditionViolated("embedding walk lost its slack invariant")
                 if slack == 0 and host.color(v) not in avoid:
@@ -447,7 +454,7 @@ def check_block_properties(host, root, sizes, unusable, image, consumed):
     for t, v in image.items():
         if host.color(v) in unusable:
             raise AssertionError("certificate uses an unusable color")
-        if t != root and host.rank(v) > sizes[t] + host.avoid_below(v, relevant):
+        if t != root and host.rank(v) > sizes[t] + _blocked_below(host, v, relevant):
             raise AssertionError("rank bound violated at a non-root image")
 
 
@@ -456,52 +463,40 @@ def embed_downtree(
 ) -> EmbeddingCertificate:
     """Rainbow copy of the downtree t in a properly colored complete k-ary
     downtree host of height k, avoiding the unusable colors; requires
-    k >= |t| + |unusable|."""
-    unusable = set(unusable)
+    k >= |t| + |unusable|. The certificate is re-checked on the poset
+    itself by verify_certificate."""
     if not is_proper(host, coloring):
         raise PreconditionViolated("host coloring must be proper")
-    view = OrientedTreeHost(host, coloring.colors, "down")
-    if view.h != view.k:
-        raise PreconditionViolated("host must have arity equal to its height")
-    if view.k < t.n + len(unusable):
-        raise PreconditionViolated(
-            f"need k >= |t| + |unusable| = {t.n + len(unusable)}, host has k={view.k}"
-        )
-    root, kids, sizes = _pattern_downtree(t, "down")
-    avoid = set(unusable)
-    image = _embed_block(root, kids, sizes, view, avoid)
-    consumed = [view.color(v) for v in image.values()]
-    check_block_properties(view, root, sizes, unusable, image, consumed)
-    mapping = tuple(image[i] for i in range(t.n))
-    cert = EmbeddingCertificate(
-        mapping=mapping, colors=tuple(coloring.colors[v] for v in mapping)
-    )
+    cert = embed_downtree_on_host(t, unusable, OrientedTreeHost(host, coloring.colors))
     if not verify_certificate(host, coloring, t, cert):
         raise AssertionError("embedding produced an invalid certificate")
     return cert
 
 
-def embed_downtree_on_host(t: Poset, unusable, host: CompleteDowntreeHost):
-    """Fuzzing entry point: the same algorithm against the breadth-first
-    arithmetic host, validated with the host's own ancestor arithmetic."""
+def embed_downtree_on_host(t: Poset, unusable, host) -> EmbeddingCertificate:
+    """Rainbow copy of the downtree t in a tree host (CompleteDowntreeHost
+    or OrientedTreeHost) of height equal to its arity k, avoiding the
+    unusable colors; requires k >= |t| + |unusable|. The certificate is
+    checked with the host's own order."""
     unusable = set(unusable)
-    if host.k < t.n + len(unusable):
-        raise PreconditionViolated("need k >= |t| + |unusable|")
     if host.h != host.k:
-        raise PreconditionViolated("fuzzing host must have height equal to arity")
+        raise PreconditionViolated("host must have arity equal to its height")
+    if host.k < t.n + len(unusable):
+        raise PreconditionViolated(
+            f"need k >= |t| + |unusable| = {t.n + len(unusable)}, host has k={host.k}"
+        )
     root, kids, sizes = _pattern_downtree(t, "down")
     avoid = set(unusable)
     image = _embed_block(root, kids, sizes, host, avoid)
-    consumed = [host.color(v) for v in image.values()]
-    check_block_properties(host, root, sizes, unusable, image, consumed)
     mapping = tuple(image[i] for i in range(t.n))
     cols = [host.color(v) for v in mapping]
+    check_block_properties(host, root, sizes, unusable, image, cols)
     if len(set(mapping)) != t.n or len(set(cols)) != t.n:
-        raise AssertionError("fuzz certificate not injective/rainbow")
+        raise AssertionError("certificate not injective/rainbow")
     for i in range(t.n):
         for j in range(t.n):
             if i != j and t.less(i, j) != host.less(mapping[i], mapping[j]):
-                raise AssertionError("fuzz certificate order mismatch")
+                raise AssertionError("certificate order mismatch")
     return EmbeddingCertificate(mapping=mapping, colors=tuple(cols))
 
 
@@ -532,10 +527,8 @@ def embed_universal(
         local_color = [coloring.colors[e] for e in region_elems]
         view = OrientedTreeHost(sub, local_color, orientation, arity=ut.k)
         blk = t.restrict(block)
-        root, kids, sizes = _pattern_downtree(
-            blk, "down" if orientation == "down" else "up"
-        )
-        blocked_here = view.avoid_below(view.root, avoid)
+        root, kids, sizes = _pattern_downtree(blk, orientation)
+        blocked_here = _blocked_below(view, view.root, avoid)
         if view.h < len(block) + blocked_here:
             raise PreconditionViolated(
                 "region too short for its block and blocked colors; the rank "

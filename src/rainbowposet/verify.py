@@ -341,7 +341,7 @@ CHECKS = (
 )
 
 
-def run_suite(full: bool = False, quick_scope: bool = True):
+def run_suite(full: bool = False):
     """Run the registered checks. With full=False, full-tier checks are
     skipped and quick-tier checks run at reduced scope."""
     results = []
@@ -350,7 +350,7 @@ def run_suite(full: bool = False, quick_scope: bool = True):
             continue
         start = time.monotonic()
         try:
-            passed, detail = fn(quick=not full and quick_scope)
+            passed, detail = fn(quick=not full)
         except Exception as exc:  # a crash is a failed check, not a crash of the suite
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(

@@ -116,6 +116,23 @@ def test_bad_family_header_is_a_usage_error(tmp_path, capsys, text):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["poset n=x\n", "poset n=100000000000000000000\n0 < 1\n"],
+    ids=["non-decimal", "10**20"],
+)
+def test_bad_poset_header_is_a_usage_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.poset"
+    bad.write_text(text)
+    code = main(["forces", str(bad), str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: poset header n=")
+    assert "Traceback" not in captured.err
+
+
 def test_module_entry_point():
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")

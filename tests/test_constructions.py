@@ -1,5 +1,6 @@
 """Named poset builders and their structural guarantees."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -173,6 +174,49 @@ def test_a3_witness():
 
 
 class TestUniversalTree:
+    # sha256 of the repr of each part of universal_tree(k), so that a change
+    # to the construction that moves an element, a cover arc or a tag shows;
+    # k = 4 is past the 100,000-element cap.
+    PINS = {
+        1: {
+            "up": "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633",
+            "side": "b3b60dbdd2ae4f573cb0213fd929b3d024c36adf928fbc4a409fd8e6d2ea883c",
+            "round_added": "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633",
+            "core": "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633",
+            "regions": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        },
+        2: {
+            "up": "4657abd9b400c3170ada181d2b5703d19cea32872f1bf5b2cbe31d07e27aeb94",
+            "side": "b2e3747c68cb0d999ba015f3e378ac6a7346f6eaeabe8c810299c9be2e0563f5",
+            "round_added": "e2d532ae10acfdc28d0910f583bfb8aaba0c66074506c642febd725e7749a5bd",
+            "core": "eae0f06c46ca0f14a374a87039c6d6a96af56215c1d208a1bf5776896e66137f",
+            "regions": "8dab71b4f9d0293d4c0e8ebef2626acb2cbd4c5815b422fb5fb9e2795c58abe7",
+        },
+        3: {
+            "up": "bae279567b393640b31535882373a09456feaf4c9e1ae14e78aff31639eab0ef",
+            "side": "20bd8601803bb8957b7c9dd29bd6b71a22f4b015c5fdf07dbd28726c52ec3085",
+            "round_added": "6ca1145bbe4be52eb67d959c86e6916801f751bc5d0df536cf6823ec081e87ac",
+            "core": "d4d6f13d916776d13676b94fde2deed3eb1b0614f47ecf65026cfe0be6a64eea",
+            "regions": "6cc8fa201ff758a9aa9b82a5685b9ad418996935ef2dc84bef41c22cce3aef24",
+        },
+    }
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pinned_structure(self, k):
+        ut = universal_tree(k)
+        parts = {
+            "up": tuple(ut.poset._up),
+            "side": ut.side,
+            "round_added": ut.round_added,
+            "core": ut.core,
+            "regions": sorted(ut.regions.items()),
+        }
+        got = {
+            key: hashlib.sha256(repr(value).encode()).hexdigest()
+            for key, value in parts.items()
+        }
+        assert got == self.PINS[k]
+
     def test_sizes(self):
         assert universal_tree(1).n == 1
         assert universal_tree(2).n == 7

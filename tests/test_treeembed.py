@@ -32,7 +32,7 @@ from rainbowposet import (
     verify_certificate,
     wedge,
 )
-from rainbowposet.treeembed import EmbeddingCertificate
+from rainbowposet.treeembed import EmbeddingCertificate, OrientedTreeHost
 
 
 def tree_posets_on(n):
@@ -115,6 +115,16 @@ class TestEmbedDowntree:
         with pytest.raises(PreconditionViolated):
             embed_downtree(chain(2), set(), host, Coloring((0, 1, 2)))
 
+    def test_rejects_host_with_shared_children(self):
+        # three middles all cover the same three leaves: complete 3-ary by
+        # arity and leaf depth, but not a tree
+        covers = [(m, 0) for m in (1, 2, 3)]
+        covers += [(leaf, m) for m in (1, 2, 3) for leaf in (4, 5, 6)]
+        host = make_poset(7, covers)
+        coloring = self.rank_coloring(host)
+        with pytest.raises(PreconditionViolated, match="host tree is not a downtree"):
+            embed_downtree(wedge(), set(), host, coloring)
+
     def test_never_fails_under_precondition(self):
         rng = random.Random(42)
         for _ in range(200):
@@ -177,6 +187,47 @@ class TestArithmeticHost:
 
     def test_fuzz_hits_larger_hosts(self):
         assert downtree_fuzz_case(137)["k"] == 7
+
+
+class TestHostAgreement:
+    """downtree(k, k) numbers its elements in the breadth-first layout of
+    CompleteDowntreeHost(k, k, ...), so both host representations of the
+    same colored tree must answer alike and yield the same certificate."""
+
+    def test_hosts_answer_the_contract_alike(self):
+        rng = random.Random("host-contract")
+        for k in range(1, 5):
+            coloring = Coloring.from_values(random_downtree_coloring(k, k, rng))
+            view = OrientedTreeHost(downtree(k, k), coloring.colors)
+            arith = CompleteDowntreeHost(k, k, coloring.colors)
+            assert (view.k, view.h) == (arith.k, arith.h) == (k, k)
+            palette = range(coloring.num_colors + 1)
+            for v in range(arith.size):
+                assert view.rank(v) == arith.rank(v)
+                assert view.children(v) == arith.children(v)
+                assert view.color(v) == arith.color(v)
+                for c in palette:
+                    assert view.has_color_below(v, c) == arith.has_color_below(v, c)
+                for w in range(arith.size):
+                    assert view.less(v, w) == arith.less(v, w)
+            for avoid in ({coloring.colors[0]}, set(palette[:2]), set(palette)):
+                assert view.max_rank_usable(avoid) == arith.max_rank_usable(avoid)
+
+    def test_same_certificate_on_both_hosts(self):
+        rng = random.Random("host-agreement")
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            tn = rng.randint(1, k)
+            pattern = make_poset(tn, [(i, rng.randrange(i)) for i in range(1, tn)])
+            coloring = Coloring.from_values(random_downtree_coloring(k, k, rng))
+            palette = coloring.num_colors
+            u_ct = rng.randint(0, k - tn)
+            unusable = set(rng.sample(range(palette + 2), min(u_ct, palette + 2)))
+            on_poset = embed_downtree(pattern, unusable, downtree(k, k), coloring)
+            on_host = embed_downtree_on_host(
+                pattern, unusable, CompleteDowntreeHost(k, k, coloring.colors)
+            )
+            assert on_poset == on_host
 
 
 class TestEmbedUniversal:
