@@ -8,6 +8,7 @@ from .errors import BadParams, CapExceeded
 from .poset import (
     Poset,
     adjoin_extremum,
+    check_poset_size,
     disjoint_sum,
     linear_sum,
     make_poset,
@@ -20,6 +21,7 @@ UNIVERSAL_TREE_CAP = 100_000
 def chain(k: int) -> Poset:
     if k < 1:
         raise BadParams("chain needs k >= 1")
+    check_poset_size(k, f"chain({k})")
     return make_poset(k, [(i, i + 1) for i in range(k - 1)])
 
 
@@ -33,6 +35,7 @@ def organ(k: int) -> Poset:
     """Disjoint union of chains of lengths 1..k; size k(k+1)/2."""
     if k < 1:
         raise BadParams("organ needs k >= 1")
+    check_poset_size(k * (k + 1) // 2, f"organ({k})")
     p = chain(1)
     for i in range(2, k + 1):
         p = disjoint_sum(p, chain(i))
@@ -50,6 +53,7 @@ def complete_multilevel(sizes) -> Poset:
     sizes = list(sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise BadParams("every level size must be >= 1")
+    check_poset_size(sum(sizes), f"complete_multilevel({sizes})")
     p = antichain(sizes[0])
     for s in sizes[1:]:
         p = linear_sum(p, antichain(s))
@@ -90,6 +94,7 @@ def blowup(p: Poset, pi) -> Poset:
     for e in range(p.n):
         start[e] = total
         total += length[e]
+    check_poset_size(total, "blowup")
     rows = [0] * total
     labels = [None] * total
     for e in range(p.n):
@@ -114,7 +119,10 @@ def downtree(k: int, h: int) -> Poset:
         raise BadParams("downtree needs k, h >= 1")
     if k == 1:
         return chain(h)
-    size = (k**h - 1) // (k - 1)
+    # With k >= 2, 64 levels already exceed the cap, so a larger h is
+    # rejected before k**h grows huge.
+    size = (k ** min(h, 64) - 1) // (k - 1)
+    check_poset_size(size, f"downtree({k}, {h})")
     covers = []
     for v in range(size):
         first_child = k * v + 1
@@ -139,6 +147,7 @@ def d_jk(j: int, k: int) -> Poset:
     """
     if k < 4 or not (1 < j < k - 1):
         raise BadParams("d_jk needs k >= 4 and 1 < j < k-1")
+    check_poset_size(2 * k + 1, f"d_jk({j}, {k})")
     names = []
     names += [f"b_{i}" for i in range(1, j + 1)]
     names += ["m"]

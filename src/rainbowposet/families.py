@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, factorial, lcm
 from typing import Optional
 
 from ._copies import exists_copy, plan_for
 from .errors import BadParams, CapExceeded, PreconditionViolated
 from .forcing import Coloring, has_rainbow_copy, refuting_coloring, is_proper
-from .poset import Poset, _bits
+from .poset import Poset, _bits, rank_partition
 
 LA_STAR_CAP = 4
 MINMAX_CAP = 8
@@ -211,16 +211,13 @@ def minmax_partition(f: SetFamily) -> MinMaxReport:
         else:
             leftover[0] += 1
             leftover[1] += len(met)
-    nfact = 1
-    for i in range(2, n + 1):
-        nfact *= i
     return MinMaxReport(
         n=n,
         classes=classes,
         leftover_count=leftover[0],
         leftover_hits=leftover[1],
         mass=lubell_mass(f),
-        average=Fraction(total_hits, nfact),
+        average=Fraction(total_hits, factorial(n)),
     )
 
 
@@ -251,45 +248,53 @@ def _cube_rows(n):
     return tuple(up), tuple(down)
 
 
-def _pattern_free_search(n, patterns, node_budget):
-    """Include-first branch and bound over the masks of the n-cube in
-    increasing order, keeping the first largest family that avoids induced
-    copies of every pattern. Each node visited spends one unit of
-    `node_budget`; once it is spent, the remaining branches are cut. Returns
-    the best family mask and the largest size a cut branch could still
-    reach (0 if none was cut)."""
-    plans = [plan_for(p) for p in patterns]
-    total = 1 << n
-    up, down = _cube_rows(n)
-    best_size = 0
-    best = 0
+def _branch_and_bound(candidates, weights, start, admits, node_budget):
+    """Include-first branch and bound: the first heaviest family that grows
+    from the `start` mask by `candidates` (cube masks, tried in the order
+    given). `weights[m]` is the integer weight of mask m; `admits(grown,
+    new)` tells whether `grown`, which holds `new`, is admissible, and must
+    be monotone: every subfamily of an admissible family is admissible. Each
+    node spends one unit of `node_budget`; once it is spent, the remaining
+    branches are cut. Returns the family mask, its weight and the largest
+    weight a cut branch could still reach (0 if none was cut)."""
+    suffix = [0] * (len(candidates) + 1)
+    for i in range(len(candidates) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + weights[candidates[i]]
+    start_weight = sum(weights[m] for m in _bits(start))
+    best = [start_weight, start]
     budget = node_budget
     cut = 0
 
-    def rec(next_mask, fam):
-        nonlocal best_size, best, budget, cut
-        size = fam.bit_count()
+    def rec(i, fam, weight):
+        nonlocal budget, cut
         if budget <= 0:
-            cut = max(cut, size + (total - next_mask))
+            cut = max(cut, weight + suffix[i])
             return
         budget -= 1
-        if size > best_size:
-            best_size = size
-            best = fam
-        if next_mask == total:
+        if weight > best[0]:
+            best[0] = weight
+            best[1] = fam
+        if i == len(candidates) or weight + suffix[i] <= best[0]:
             return
-        if size + (total - next_mask) <= best_size:
-            return
-        grown = fam | 1 << next_mask
-        if not any(
-            exists_copy(up, down, total, pl, active=grown, anchor=next_mask)
-            for pl in plans
-        ):
-            rec(next_mask + 1, grown)
-        rec(next_mask + 1, fam)
+        new = candidates[i]
+        grown = fam | 1 << new
+        if admits(grown, new):
+            rec(i + 1, grown, weight + weights[new])
+        rec(i + 1, fam, weight)
 
-    rec(0, 0)
-    return best, cut
+    rec(0, start, start_weight)
+    return best[1], best[0], cut
+
+
+def _pattern_free(n, patterns):
+    """Predicate of the pattern-free searches: no induced copy of a pattern
+    passes through `new`."""
+    plans = [plan_for(p) for p in patterns]
+    total = 1 << n
+    up, down = _cube_rows(n)
+    return lambda grown, new: not any(
+        exists_copy(up, down, total, pl, active=grown, anchor=new) for pl in plans
+    )
 
 
 def la_star(n: int, patterns) -> LaResult:
@@ -298,59 +303,40 @@ def la_star(n: int, patterns) -> LaResult:
     families of the cube; n <= 4."""
     if n > LA_STAR_CAP:
         raise CapExceeded(f"exhaustive la_star is limited to n <= {LA_STAR_CAP}")
-    best, _ = _pattern_free_search(n, patterns, float("inf"))
-    return LaResult(value=best.bit_count(), witness=SetFamily.from_masks(n, _bits(best)))
+    total = 1 << n
+    best, value, _ = _branch_and_bound(
+        range(total), [1] * total, 0, _pattern_free(n, patterns), float("inf")
+    )
+    return LaResult(value=value, witness=SetFamily.from_masks(n, _bits(best)))
 
 
-def la_rainbow_star(n: int, pattern: Poset, budget_s=None) -> LaResult:
+def la_rainbow_star(n: int, pattern: Poset) -> LaResult:
     """Exact maximum size of a family whose containment order does not
     rainbow-force the pattern, plus the witness family and a proper
-    refuting coloring of it. Exhaustive over all 2^(2^n) families; n <= 4.
-
-    Forcing is monotone under adding sets, so a subset-lattice sweep marks
-    each family forcing as soon as any one-set-smaller subfamily forces;
-    the coloring search runs only on subset-minimal candidates.
-    """
+    refuting coloring of it; n <= 4. A subfamily of a refutable family is
+    refutable, so this is `la_star`'s include-first search with the
+    predicate "the grown family is refutable": coloring its sets by rank
+    leaves no rainbow copy, or else the coloring search finds a refutation.
+    The witness is the first largest family in include-first order over
+    increasing masks."""
     if n > LA_STAR_CAP:
         raise CapExceeded(f"exhaustive la_rainbow_star is limited to n <= {LA_STAR_CAP}")
     total = 1 << n
-    forces = bytearray(1 << total)
-    best_size = 0
-    best_masks = 0  # the empty family never forces
-    from .poset import rank_partition
 
-    for fam in range(1, 1 << total):
-        rest = fam
-        forced = False
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if forces[fam ^ low]:
-                forced = True
-                break
-        if not forced:
-            masks = []
-            g = fam
-            while g:
-                low = g & -g
-                masks.append(low.bit_length() - 1)
-                g ^= low
-            f = SetFamily.from_masks(n, masks)
-            p = family_poset(f)
-            layer = Coloring.from_values(rank_partition(p).rank)
-            if has_rainbow_copy(p, layer, pattern):
-                forced = refuting_coloring(p, pattern, budget_s) is None
-        forces[fam] = forced
-        if not forced:
-            size = fam.bit_count()
-            if size > best_size:
-                best_size = size
-                best_masks = fam
-    masks = tuple(i for i in range(total) if best_masks >> i & 1)
-    witness = SetFamily.from_masks(n, masks)
-    coloring = refuting_coloring(family_poset(witness), pattern, budget_s)
+    def refutable(grown, new):
+        p = family_poset(SetFamily.from_masks(n, _bits(grown)))
+        layer = Coloring.from_values(rank_partition(p).rank)
+        return not has_rainbow_copy(p, layer, pattern) or (
+            refuting_coloring(p, pattern, None) is not None
+        )
+
+    best, value, _ = _branch_and_bound(
+        range(total), [1] * total, 0, refutable, float("inf")
+    )
+    witness = SetFamily.from_masks(n, _bits(best))
+    coloring = refuting_coloring(family_poset(witness), pattern, None)
     assert coloring is not None
-    return LaResult(value=best_size, witness=witness, coloring=coloring)
+    return LaResult(value=value, witness=witness, coloring=coloring)
 
 
 def la_star_bracket(n: int, patterns, node_budget: int = 500_000):
@@ -359,8 +345,10 @@ def la_star_bracket(n: int, patterns, node_budget: int = 500_000):
     (lower, upper); the bounds coincide when the budget sufficed."""
     if n > LA_STAR_CAP + 1:
         raise CapExceeded("bracket mode reaches one past the exhaustive cap")
-    best, cut = _pattern_free_search(n, patterns, node_budget)
-    lower = best.bit_count()
+    total = 1 << n
+    _, lower, cut = _branch_and_bound(
+        range(total), [1] * total, 0, _pattern_free(n, patterns), node_budget
+    )
     return lower, max(lower, cut)
 
 
@@ -399,30 +387,18 @@ def max_mass_pattern_free_with_extremes(n: int, pattern: Poset):
     and bound over the remaining masks. Returns (mass, witness)."""
     if n > 4:
         raise CapExceeded("exhaustive mass maximization is limited to n <= 4")
-    plan = plan_for(pattern)
     total = 1 << n
-    up, down = _cube_rows(n)
-    middles = list(range(1, total - 1))
-    weights = [Fraction(1, comb(n, m.bit_count())) for m in middles]
-    suffix = [Fraction(0)] * (len(middles) + 1)
-    for i in range(len(middles) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
-    extremes = 1 | 1 << (total - 1)
-    best = [Fraction(0), extremes]
-
-    def rec(i, fam, mass):
-        if mass > best[0]:
-            best[0] = mass
-            best[1] = fam
-        if i == len(middles) or mass + suffix[i] <= best[0]:
-            return
-        grown = fam | 1 << middles[i]
-        if not exists_copy(up, down, total, plan, active=grown, anchor=middles[i]):
-            rec(i + 1, grown, mass + weights[i])
-        rec(i + 1, fam, mass)
-
-    rec(0, extremes, Fraction(2))
-    return best[0], SetFamily.from_masks(n, _bits(best[1]))
+    # Masses scaled by the lcm of the binomials of order n are integers.
+    scale = lcm(*(comb(n, k) for k in range(n + 1)))
+    weights = [scale // comb(n, m.bit_count()) for m in range(total)]
+    best, weight, _ = _branch_and_bound(
+        range(1, total - 1),
+        weights,
+        1 | 1 << (total - 1),
+        _pattern_free(n, [pattern]),
+        float("inf"),
+    )
+    return Fraction(weight, scale), SetFamily.from_masks(n, _bits(best))
 
 
 def greedy_pattern_free_family(n: int, pattern: Poset, rng) -> SetFamily:

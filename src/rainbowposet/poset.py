@@ -135,6 +135,18 @@ class Poset:
 # --- constructors and algebra --------------------------------------------
 
 
+# Largest element count of a poset that the builders and the text reader
+# accept, checked before anything is allocated; far above the largest poset
+# the toolkit builds (the universal tree cap of 100,000 elements).
+POSET_CAP = 1_000_000
+
+
+def check_poset_size(n: int, what: str) -> None:
+    """Raise CapExceeded when `what` would have more than POSET_CAP elements."""
+    if n > POSET_CAP:
+        raise CapExceeded(f"{what} exceeds the cap of {POSET_CAP} elements")
+
+
 def make_poset(n: int, covers, labels=None) -> Poset:
     """Poset whose relation is the transitive closure of the given cover arcs.
 
@@ -142,6 +154,7 @@ def make_poset(n: int, covers, labels=None) -> Poset:
     """
     if n < 0:
         raise BadParams("element count must be non-negative")
+    check_poset_size(n, f"a poset on {n} elements")
     succ = [0] * n
     for a, b in covers:
         if not (0 <= a < n and 0 <= b < n):
@@ -490,12 +503,6 @@ def contains_induced(host: Poset, pattern: Poset) -> bool:
 
 # --- text format ------------------------------------------------------------
 
-# Largest element count a poset header may declare, checked before anything
-# is allocated; far above the largest poset the toolkit builds (the
-# universal tree cap of 100,000 elements).
-POSET_TEXT_CAP = 1_000_000
-
-
 def poset_to_text(p: Poset) -> str:
     lines = [f"poset n={p.n}"]
     if p.labels is not None:
@@ -531,8 +538,7 @@ def poset_from_text(text: str) -> Poset:
             if not fields["n"].isdecimal():
                 raise BadParams(f"poset header n={fields['n']} is not a count")
             n = int(fields["n"])
-            if n > POSET_TEXT_CAP:
-                raise CapExceeded(f"poset header n={n} exceeds the cap {POSET_TEXT_CAP}")
+            check_poset_size(n, f"poset header n={n}")
             continue
         if "<" in line:
             a, b = line.split("<", 1)

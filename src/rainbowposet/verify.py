@@ -282,6 +282,7 @@ def check_rainbow_vs_plain_extremal(quick: bool = False) -> tuple[bool, str]:
     """The rainbow extremal number equals the plain extremal number of the
     minimal-forcer list for the 2-antichain and the vee at ground sizes 3
     and 4; the 4-cube value for the 2-antichain is exactly sigma(4,1)+2."""
+    values = {}
     for pattern, label in ((antichain(2), "2-antichain"), (vee(), "vee")):
         forcers = search_M(pattern, 6)
         for n in (3, 4):
@@ -291,7 +292,8 @@ def check_rainbow_vs_plain_extremal(quick: bool = False) -> tuple[bool, str]:
                 return False, (
                     f"{label} at n={n}: rainbow {rainbow.value} != plain {plain.value}"
                 )
-    if la_rainbow_star(4, antichain(2)).value != sigma(4, 1) + 2:
+            values[label, n] = rainbow.value
+    if values["2-antichain", 4] != sigma(4, 1) + 2:
         return False, "4-cube rainbow value for the 2-antichain is not sigma(4,1)+2"
     return True, "rainbow and plain extremal values agree; 4-cube value is 8"
 

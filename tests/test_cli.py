@@ -133,6 +133,27 @@ def test_bad_poset_header_is_a_usage_error(tmp_path, capsys, text):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["antichain", "100000000000000000000"],
+        ["chain", "100000000000000000000"],
+        ["downtree", "2", "200"],
+        ["multilevel", "1", "100000000000000000000"],
+    ],
+    ids=["antichain", "chain", "downtree", "multilevel"],
+)
+def test_oversized_construction_is_a_usage_error(capsys, params):
+    code = main(["construct", *params])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "exceeds the cap" in lines[0]
+    assert "Traceback" not in captured.err
+
+
 def test_module_entry_point():
     env = dict(os.environ)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")

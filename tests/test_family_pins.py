@@ -1,7 +1,7 @@
 """Pinned outputs of the family searches: the greedy sampler of criterion 9
-and the exhaustive and bracketing searches, so that a change to the copy
-kernel or to the family representation that alters any chosen family
-shows."""
+and the exhaustive, bracketing and rainbow searches, so that a change to
+the copy kernel, to the family representation or to the search order that
+alters any chosen family shows."""
 
 import hashlib
 import random
@@ -9,9 +9,19 @@ from fractions import Fraction
 
 import pytest
 
-from rainbowposet import antichain, chain, diamond, harp, organ, vee, wedge
+from rainbowposet import (
+    antichain,
+    chain,
+    complete_multilevel,
+    diamond,
+    harp,
+    organ,
+    vee,
+    wedge,
+)
 from rainbowposet.families import (
     greedy_pattern_free_family,
+    la_rainbow_star,
     la_star,
     la_star_bracket,
     max_mass_pattern_free_with_extremes,
@@ -40,6 +50,9 @@ PATTERNS = {
     "vee": vee(),
     "a3": antichain(3),
     "vee+wedge": (vee(), wedge()),
+    "a2": antichain(2),
+    "wedge": wedge(),
+    "k22": complete_multilevel([2, 2]),
 }
 
 # (n, patterns) -> (value, witness masks)
@@ -58,6 +71,53 @@ LA_STAR = {
     (4, "diamond"): (10, (1, 2, 3, 4, 5, 6, 8, 9, 10, 12)),
     (4, "a3"): (8, (0, 1, 2, 3, 5, 7, 11, 15)),
     (4, "vee+wedge"): (6, (1, 2, 4, 9, 10, 12)),
+}
+
+# (n, pattern) -> (value, witness masks, colors of the refuting coloring),
+# computed with the sweep over all 2^(2^n) families, which picked the
+# smallest bitmask among the largest non-forcing families.
+LA_RAINBOW_STAR = {
+    (2, "a2"): (4, (0, 1, 2, 3), (0, 1, 1, 2)),
+    (3, "a2"): (5, (0, 1, 2, 3, 7), (0, 1, 1, 2, 3)),
+    (4, "a2"): (8, (0, 3, 5, 6, 9, 10, 12, 15), (0, 1, 1, 1, 1, 1, 1, 2)),
+    (2, "vee"): (4, (0, 1, 2, 3), (0, 1, 1, 2)),
+    (3, "vee"): (7, (1, 2, 3, 4, 5, 6, 7), (0, 0, 1, 0, 1, 1, 2)),
+    (4, "vee"): (
+        11,
+        (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15),
+        (0, 0, 1, 0, 1, 1, 0, 1, 1, 1, 2),
+    ),
+    (2, "wedge"): (4, (0, 1, 2, 3), (0, 1, 1, 2)),
+    (3, "wedge"): (7, (0, 1, 2, 3, 4, 5, 6), (0, 1, 1, 2, 1, 2, 2)),
+    (4, "wedge"): (
+        11,
+        (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12),
+        (0, 1, 1, 2, 1, 2, 2, 1, 2, 2, 2),
+    ),
+    (2, "chain2"): (2, (1, 2), (0, 0)),
+    (3, "chain2"): (3, (1, 2, 4), (0, 0, 0)),
+    (4, "chain2"): (6, (3, 5, 6, 9, 10, 12), (0, 0, 0, 0, 0, 0)),
+    (2, "a3"): (4, (0, 1, 2, 3), (0, 1, 1, 2)),
+    (3, "a3"): (8, (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 1, 2, 1, 2, 2, 3)),
+    (4, "a3"): (
+        16,
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        (0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4),
+    ),
+    (2, "k22"): (4, (0, 1, 2, 3), (0, 1, 1, 2)),
+    (3, "k22"): (8, (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 1, 2, 1, 2, 2, 3)),
+    (4, "k22"): (
+        16,
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        (0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4),
+    ),
+    (2, "diamond"): (4, (0, 1, 2, 3), (0, 1, 1, 2)),
+    (3, "diamond"): (7, (0, 1, 2, 3, 4, 5, 6), (0, 1, 1, 2, 1, 2, 2)),
+    (4, "diamond"): (
+        14,
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14),
+        (0, 0, 1, 0, 1, 1, 2, 0, 1, 1, 2, 1, 2, 2),
+    ),
 }
 
 
@@ -92,3 +152,13 @@ def test_mass_maxima_are_pinned():
     assert (mass, witness.sets) == (Fraction(19, 6), (0, 1, 2, 3, 7, 11, 15))
     mass, witness = max_mass_pattern_free_with_extremes(4, diamond())
     assert (mass, witness.sets) == (Fraction(8, 3), (0, 1, 3, 7, 15))
+
+
+def test_la_rainbow_star_results_are_pinned():
+    for (n, name), (value, masks, colors) in LA_RAINBOW_STAR.items():
+        res = la_rainbow_star(n, PATTERNS[name])
+        assert (res.value, res.witness.sets, res.coloring.colors) == (
+            value,
+            masks,
+            colors,
+        ), (n, name)
