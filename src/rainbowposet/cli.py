@@ -19,9 +19,10 @@ import time
 from fractions import Fraction
 
 from . import constructions
-from .catalog import dump_catalog
-from .errors import ForcingTimeout, RainbowPosetError
+from .catalog import DEFAULT_CAP, dump_catalog
+from .errors import BadParams, ForcingTimeout, RainbowPosetError
 from .families import (
+    BRACKET_NODE_BUDGET,
     family_from_text,
     la_rainbow_star,
     la_star,
@@ -31,6 +32,7 @@ from .families import (
     sigma,
 )
 from .forcing import (
+    DEFAULT_BUDGET_S,
     is_minimal_forcing,
     m_value,
     proper_colorings,
@@ -59,6 +61,8 @@ BUILDERS = {
     "djk": (constructions.d_jk, 2),
     "ojk": (constructions.o_jk, 2),
     "a3-witness": (constructions.a3_witness, 0),
+    "universal-tree": (lambda k: constructions.universal_tree(k).poset, 1),
+    "blowup": (constructions.blowup, 2),
 }
 
 
@@ -91,22 +95,18 @@ def _fraction_str(x: Fraction) -> str:
 
 
 def cmd_construct(args):
-    name = args.name
+    name, params = args.name, args.params
     if name == "multilevel":
-        poset = constructions.complete_multilevel([int(p) for p in args.params])
-    elif name == "universal-tree":
-        poset = constructions.universal_tree(int(args.params[0])).poset
+        poset = constructions.complete_multilevel([int(p) for p in params])
+    elif name not in BUILDERS:
+        raise BadParams(f"unknown construction {name!r}")
+    elif len(params) != BUILDERS[name][1]:
+        raise BadParams(f"{name} takes {BUILDERS[name][1]} parameter(s)")
     elif name == "blowup":
-        base = _read_poset(args.params[0])
-        pi = [int(x) for x in args.params[1].split(",")]
-        poset = constructions.blowup(base, pi)
-    elif name in BUILDERS:
-        builder, arity = BUILDERS[name]
-        if len(args.params) != arity:
-            raise SystemExit(f"{name} takes {arity} parameter(s)")
-        poset = builder(*[int(p) for p in args.params])
+        pi = [int(x) for x in params[1].split(",")]
+        poset = constructions.blowup(_read_poset(params[0]), pi)
     else:
-        raise SystemExit(f"unknown construction {name!r}")
+        poset = BUILDERS[name][0](*[int(p) for p in params])
     text = poset_to_text(poset)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -117,7 +117,8 @@ def cmd_construct(args):
 
 
 def cmd_gen(args):
-    manifest = dump_catalog(args.out, args.max_size, cap=max(args.max_size, 7))
+    cap = max(args.max_size, DEFAULT_CAP)
+    manifest = dump_catalog(args.out, args.max_size, cap=cap)
     _emit_json({"counts": manifest["counts"], "directory": args.out}, args)
     return 0
 
@@ -152,7 +153,7 @@ def cmd_minimal(args):
 def cmd_search_m(args):
     pattern = _read_poset(args.pattern)
     start = time.monotonic()
-    found = search_M(pattern, args.max_size, cap=max(args.max_size, 7))
+    found = search_M(pattern, args.max_size, cap=max(args.max_size, DEFAULT_CAP))
     payload = {
         "count": len(found),
         "max_size": args.max_size,  # minimality certified within this bound only
@@ -313,20 +314,20 @@ def build_parser():
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("gen", help="dump the poset catalog to a directory")
-    p.add_argument("--max-size", type=int, default=7)
+    p.add_argument("--max-size", type=int, default=DEFAULT_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("forces", help="decide rainbow forcing host vs pattern")
     p.add_argument("host")
     p.add_argument("pattern")
-    p.add_argument("--budget", type=float, default=900.0)
+    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET_S)
     p.set_defaults(fn=cmd_forces)
 
     p = sub.add_parser("minimal", help="decide deletion-minimal forcing")
     p.add_argument("host")
     p.add_argument("pattern")
-    p.add_argument("--budget", type=float, default=900.0)
+    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET_S)
     p.set_defaults(fn=cmd_minimal)
 
     p = sub.add_parser("search-m", help="all minimal forcers up to a size bound")
@@ -336,7 +337,7 @@ def build_parser():
 
     p = sub.add_parser("m-value", help="minimum forcing size (or bracket)")
     p.add_argument("pattern")
-    p.add_argument("--cap", type=int, default=7)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(fn=cmd_m_value)
 
     p = sub.add_parser("embed", help="rainbow-embed a tree into a universal tree")
@@ -359,7 +360,7 @@ def build_parser():
     p.add_argument("n", type=int)
     p.add_argument("--pattern", dest="patterns", action="append", required=True)
     p.add_argument("--bracket", action="store_true", help="budgeted bounds (n=5)")
-    p.add_argument("--node-budget", type=int, default=500_000)
+    p.add_argument("--node-budget", type=int, default=BRACKET_NODE_BUDGET)
     p.set_defaults(fn=cmd_la_star)
 
     p = sub.add_parser("lar-star", help="largest rainbow-refutable family size")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParams, CapExceeded
+from .errors import BadParams
 from .poset import (
     Poset,
     adjoin_extremum,
@@ -14,8 +14,6 @@ from .poset import (
     make_poset,
     perp_value,
 )
-
-UNIVERSAL_TREE_CAP = 100_000
 
 
 def chain(k: int) -> Poset:
@@ -221,7 +219,7 @@ class UniversalTree:
         return self.poset.n
 
 
-def universal_tree(k: int, cap: int = UNIVERSAL_TREE_CAP) -> UniversalTree:
+def universal_tree(k: int) -> UniversalTree:
     """Alternating append construction.
 
     Start from a complete k-ary downtree of height k whose root is the
@@ -229,34 +227,41 @@ def universal_tree(k: int, cap: int = UNIVERSAL_TREE_CAP) -> UniversalTree:
     element created in the previous round, an uptree of height k-r+1 at a
     down element of rank r or a downtree of height r at an up element of
     rank r. After k-1 rounds the comparability-graph radius reaches k.
+
+    Each element's rank is fixed when it is created: k at the center, one
+    less than its parent in a downtree, one more in an uptree. An appended
+    downtree is exactly as tall as its root's rank, so no append changes an
+    existing rank.
     """
     if k < 1:
         raise BadParams("universal_tree needs k >= 1")
     covers = []
     side = []
     round_added = []
+    rank = []
 
-    def new_elem(s, rnd):
+    def new_elem(s, rnd, r):
+        check_poset_size(len(side) + 1, f"universal_tree({k})")
         side.append(s)
         round_added.append(rnd)
-        if len(side) > cap:
-            raise CapExceeded(f"universal tree would exceed cap {cap}")
+        rank.append(r)
         return len(side) - 1
 
-    center = new_elem("center", 0)
+    center = new_elem("center", 0, k)
 
     def append_tree(root, height_, rnd, s):
         """Complete k-ary tree of the given height on `root` (already
         present), made of new elements on side s: a downtree whose maximum
         is `root` when s is "down", an uptree whose minimum is `root` when
         s is "up". Returns the new elements."""
+        step = -1 if s == "down" else 1
         added = []
         level = [root]
         for _ in range(height_ - 1):
             nxt = []
             for v in level:
                 for _c in range(k):
-                    w = new_elem(s, rnd)
+                    w = new_elem(s, rnd, rank[v] + step)
                     covers.append((w, v) if s == "down" else (v, w))
                     nxt.append(w)
                     added.append(w)
@@ -267,31 +272,7 @@ def universal_tree(k: int, cap: int = UNIVERSAL_TREE_CAP) -> UniversalTree:
     core = (center, *frontier)
     regions = {}
 
-    def ranks_now():
-        """Mirsky rank of every element built so far, from the cover arcs."""
-        n = len(side)
-        below = [[] for _ in range(n)]
-        above = [[] for _ in range(n)]
-        for a, b in covers:
-            below[b].append(a)
-            above[a].append(b)
-        rank = [0] * n
-        indeg = [len(below[x]) for x in range(n)]
-        stack = [x for x in range(n) if indeg[x] == 0]
-        order = []
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y in above[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    stack.append(y)
-        for x in order:
-            rank[x] = 1 + max((rank[y] for y in below[x]), default=0)
-        return rank
-
     for rnd in range(1, k):
-        rank = ranks_now()
         next_frontier = []
         for e in frontier:
             if side[e] == "down":

@@ -16,11 +16,13 @@ from typing import Optional
 
 from ._copies import exists_copy, plan_for
 from .errors import BadParams, CapExceeded, PreconditionViolated
-from .forcing import Coloring, has_rainbow_copy, refuting_coloring, is_proper
-from .poset import Poset, _bits, rank_partition
+from .forcing import Coloring, _forces, has_rainbow_copy, is_proper, refuting_coloring
+from .poset import Poset, _bits
 
 LA_STAR_CAP = 4
 MINMAX_CAP = 8
+# Search nodes `la_star_bracket` may visit before it settles for bounds.
+BRACKET_NODE_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -315,8 +317,7 @@ def la_rainbow_star(n: int, pattern: Poset) -> LaResult:
     rainbow-force the pattern, plus the witness family and a proper
     refuting coloring of it; n <= 4. A subfamily of a refutable family is
     refutable, so this is `la_star`'s include-first search with the
-    predicate "the grown family is refutable": coloring its sets by rank
-    leaves no rainbow copy, or else the coloring search finds a refutation.
+    predicate "the grown family does not rainbow-force the pattern".
     The witness is the first largest family in include-first order over
     increasing masks."""
     if n > LA_STAR_CAP:
@@ -324,11 +325,8 @@ def la_rainbow_star(n: int, pattern: Poset) -> LaResult:
     total = 1 << n
 
     def refutable(grown, new):
-        p = family_poset(SetFamily.from_masks(n, _bits(grown)))
-        layer = Coloring.from_values(rank_partition(p).rank)
-        return not has_rainbow_copy(p, layer, pattern) or (
-            refuting_coloring(p, pattern, None) is not None
-        )
+        grown_poset = family_poset(SetFamily.from_masks(n, _bits(grown)))
+        return not _forces(grown_poset, pattern, None)
 
     best, value, _ = _branch_and_bound(
         range(total), [1] * total, 0, refutable, float("inf")
@@ -339,7 +337,7 @@ def la_rainbow_star(n: int, pattern: Poset) -> LaResult:
     return LaResult(value=value, witness=witness, coloring=coloring)
 
 
-def la_star_bracket(n: int, patterns, node_budget: int = 500_000):
+def la_star_bracket(n: int, patterns, node_budget: int = BRACKET_NODE_BUDGET):
     """Best-effort bracketing of the pattern-free maximum for ground sets
     one past the exhaustive cap: a budgeted include-first search returns
     (lower, upper); the bounds coincide when the budget sufficed."""

@@ -209,29 +209,15 @@ def refuting_coloring(
     return None
 
 
-_VERDICT_CACHE: dict = {}
-
-
-def _verdict(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S):
-    """Cached forcing decision, keyed by isomorphism classes, as (forces,
-    refutation). The refutation is the one a cache miss just computed for
-    this labeling; it is None when the host forces or the verdict came from
-    the cache."""
-    if pattern.n > host.n or not exists_copy(
-        host._up, host._down, host.n, plan_for(pattern)
-    ):
-        return False, None
-    key = (canonical_key(host), canonical_key(pattern))
-    hit = _VERDICT_CACHE.get(key)
-    if hit is not None:
-        return hit, None
-    refutation = refuting_coloring(host, pattern, budget_s)
-    _VERDICT_CACHE[key] = refutation is None
-    return refutation is None, refutation
-
-
 def _forces(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S) -> bool:
-    return _verdict(host, pattern, budget_s)[0]
+    """The bare forcing decision, with no witness: a host smaller than the
+    pattern or without a copy of it cannot force it, so the coloring search
+    runs only after the size check and an unanchored copy search."""
+    return (
+        pattern.n <= host.n
+        and exists_copy(host._up, host._down, host.n, plan_for(pattern))
+        and refuting_coloring(host, pattern, budget_s) is None
+    )
 
 
 def rainbow_forces(
@@ -239,13 +225,9 @@ def rainbow_forces(
 ) -> ForcingVerdict:
     """Decide forcing; when the answer is no, attach the first refuting
     coloring found in canonical search order (re-verified before returning)."""
-    forces, refutation = _verdict(host, pattern, budget_s)
-    if forces:
-        return ForcingVerdict(forces=True, refutation=None)
+    refutation = refuting_coloring(host, pattern, budget_s)
     if refutation is None:
-        refutation = refuting_coloring(host, pattern, budget_s)
-        if refutation is None:  # cache said non-forcing; recompute must agree
-            raise AssertionError("forcing verdict cache is inconsistent")
+        return ForcingVerdict(forces=True, refutation=None)
     assert is_proper(host, refutation)
     assert not has_rainbow_copy(host, refutation, pattern)
     return ForcingVerdict(forces=False, refutation=refutation)
@@ -267,14 +249,22 @@ def search_M(
     budget_s=DEFAULT_BUDGET_S,
 ):
     """All posets of size <= size_bound (up to isomorphism) that minimally
-    rainbow-force the pattern, in canonical-key order."""
+    rainbow-force the pattern, in canonical-key order.
+
+    Sizes ascend, so every single-element deletion of a host is a class of
+    the previous size that is already decided: a forcer is minimal exactly
+    when no deletion's key is among the forcing keys found so far."""
     if size_bound > cap:
         raise CapExceeded(f"size bound {size_bound} above enumeration cap {cap}")
+    forcing = set()
     out = []
     for n in range(pattern.n, size_bound + 1):
         for host in posets_of_size(n, cap):
-            if is_minimal_forcing(host, pattern, budget_s):
+            if not _forces(host, pattern, budget_s):
+                continue
+            if not any(canonical_key(host.delete(x)) in forcing for x in range(n)):
                 out.append(host)
+            forcing.add(canonical_key(host))
     return sorted(out, key=canonical_key)
 
 

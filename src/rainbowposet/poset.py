@@ -136,9 +136,11 @@ class Poset:
 
 
 # Largest element count of a poset that the builders and the text reader
-# accept, checked before anything is allocated; far above the largest poset
-# the toolkit builds (the universal tree cap of 100,000 elements).
-POSET_CAP = 1_000_000
+# accept, checked before anything is allocated. A poset keeps n rows of n
+# bits and building it costs about n^3 bit steps, so the cap sits a little
+# above the largest poset the toolkit builds (universal_tree(3), 1,291
+# elements) rather than at what memory would allow.
+POSET_CAP = 4096
 
 
 def check_poset_size(n: int, what: str) -> None:

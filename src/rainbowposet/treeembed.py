@@ -522,7 +522,7 @@ def embed_universal(
     host = ut.poset
     mapping = {}
 
-    def embed_region(block, owner, region_elems, orientation, avoid):
+    def embed_region(block, region_elems, orientation, avoid):
         sub = host.restrict(region_elems)
         local_color = [coloring.colors[e] for e in region_elems]
         view = OrientedTreeHost(sub, local_color, orientation, arity=ut.k)
@@ -539,7 +539,7 @@ def embed_universal(
 
     base_block = meta.block_of(meta.base)
     core = tuple(sorted(ut.core))
-    got = embed_region(base_block, meta.base, core, "down", set())
+    got = embed_region(base_block, core, "down", set())
     if got[meta.base] != ut.center:
         raise AssertionError("base did not land on the universal tree center")
     mapping.update(got)
@@ -572,7 +572,7 @@ def embed_universal(
         avoid = {
             coloring.colors[img] for img in mapping.values() if not separated(img)
         }
-        got = embed_region(block, z, region_elems, orientation, avoid)
+        got = embed_region(block, region_elems, orientation, avoid)
         if got[z] != mapping[z]:
             raise AssertionError("region embedding moved the block owner")
         for el, img in got.items():

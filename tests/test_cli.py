@@ -140,8 +140,9 @@ def test_bad_poset_header_is_a_usage_error(tmp_path, capsys, text):
         ["chain", "100000000000000000000"],
         ["downtree", "2", "200"],
         ["multilevel", "1", "100000000000000000000"],
+        ["chain", "4097"],
     ],
-    ids=["antichain", "chain", "downtree", "multilevel"],
+    ids=["antichain", "chain", "downtree", "multilevel", "chain-4097"],
 )
 def test_oversized_construction_is_a_usage_error(capsys, params):
     code = main(["construct", *params])
@@ -151,6 +152,23 @@ def test_oversized_construction_is_a_usage_error(capsys, params):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "exceeds the cap" in lines[0]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "params",
+    [["chain"], ["nosuch"], ["universal-tree"], ["blowup", "{poset}"]],
+    ids=["missing-param", "unknown-name", "universal-tree", "blowup"],
+)
+def test_bad_construct_params_are_a_usage_error(tmp_path, capsys, params):
+    base = tmp_path / "base.poset"
+    run_cli(capsys, "construct", "vee", "-o", str(base))
+    code = main(["construct", *(p.format(poset=base) for p in params)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
 
 

@@ -144,7 +144,7 @@ class TestForcing:
         v = rainbow_forces(antichain(2), antichain(2))
         assert not v.forces and v.refutation.colors == (0, 0)
 
-    def test_one_forcing_search_per_cache_miss(self, monkeypatch):
+    def test_one_forcing_search_per_decision(self, monkeypatch):
         from rainbowposet import forcing
 
         calls = []
@@ -153,14 +153,24 @@ class TestForcing:
             calls.append(host.n)
             return refuting_coloring(host, pattern, budget_s)
 
-        monkeypatch.setattr(forcing, "_VERDICT_CACHE", {})
         monkeypatch.setattr(forcing, "refuting_coloring", counted)
         host = complete_multilevel([2, 2])
         first = rainbow_forces(host, antichain(2))
         assert not first.forces and len(calls) == 1
-        # A cache hit searches again for this labeling, and must agree.
         again = rainbow_forces(host, antichain(2))
         assert again == first and len(calls) == 2
+
+    def test_budget_applies_on_every_call(self):
+        # An earlier decision on the same classes must not answer for a
+        # later call with a smaller budget.
+        from rainbowposet import o_jk
+
+        host, pattern = o_jk(2, 4), antichain(4)
+        rainbow_forces(host, pattern)
+        with pytest.raises(ForcingTimeout):
+            rainbow_forces(host, pattern, budget_s=1e-9)
+        with pytest.raises(ForcingTimeout):
+            _forces(host, pattern, budget_s=1e-9)
 
     def test_deletion_monotonicity_spot_check(self):
         # if a deletion forces, the whole host forces
@@ -199,6 +209,19 @@ class TestSearchM:
         relabeled = make_poset(3, [(2, 0), (2, 1)])
         keys = [canonical_key(p) for p in search_M(base, 5)]
         assert keys == [canonical_key(p) for p in search_M(relabeled, 5)]
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [antichain(2), vee(), chain(2), diamond()],
+        ids=["A2", "vee", "chain2", "diamond"],
+    )
+    def test_matches_class_by_class_minimality(self, pattern):
+        catalog = [h for n in range(1, 7) for h in posets_of_size(n)]
+        expected = [h for h in catalog if is_minimal_forcing(h, pattern)]
+        found = search_M(pattern, 6)
+        assert [canonical_key(h) for h in found] == sorted(
+            canonical_key(h) for h in expected
+        )
 
     def test_three_antichain_has_several_small_forcers(self):
         from rainbowposet import a3_witness
