@@ -6,7 +6,7 @@ verification suite. JSON payloads carry a versioned schema field; output
 is byte-identical for identical configuration (timings are opt-in).
 
 Exit codes: 0 success/verified, 1 a verified property failed, 2 usage
-error, 3 search budget exceeded.
+error, 3 search budget exceeded, 4 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
@@ -395,6 +395,9 @@ def main(argv=None) -> int:
     except (RainbowPosetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug; exit 1 stays reserved for a failed property
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

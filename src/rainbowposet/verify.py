@@ -8,6 +8,7 @@ acceptance scope.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -64,6 +65,95 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
+
+
+# Item indices per claim: small, so that no worker is left with a long tail
+# of work after the others run out.
+_SWEEP_CHUNK = 4
+
+
+def _sweep(fn, items):
+    """``[fn(x) for x in items]``: the same values in the same order, computed
+    on every CPU in this process's affinity mask.
+
+    The calling process claims the first chunk of indices, forks one child
+    per extra CPU, and works too; all of them claim chunks from one shared
+    counter until none are left. Children send their results back over a
+    pipe, and the results are merged in index order. ``fn`` and ``items``
+    are inherited through fork, so closures work; only results and
+    exceptions are pickled. Where the affinity mask or fork is unavailable,
+    no child is started and the same loop runs in this process.
+
+    If ``fn`` raises, the sweep raises the exception of the lowest failing
+    index, the one the serial loop would raise. A child that ends without
+    reporting makes the sweep raise. No child outlives the call.
+    """
+    import multiprocessing  # not at module level: it would slow every import
+
+    items = list(items)
+    try:
+        ctx = multiprocessing.get_context("fork")
+        extra = len(os.sched_getaffinity(0)) - 1
+    except (AttributeError, ValueError):  # no affinity mask or no fork here
+        ctx, extra = multiprocessing, 0
+    counter = ctx.Value("q", 0)
+
+    def claim():
+        with counter.get_lock():
+            start = counter.value
+            counter.value = start + _SWEEP_CHUNK
+        return start
+
+    def work(start):
+        done = []
+        while start < len(items):
+            chunk = []
+            for i in range(start, min(start + _SWEEP_CHUNK, len(items))):
+                try:
+                    chunk.append(fn(items[i]))
+                except Exception as exc:
+                    # Every chunk before this one is claimed already, and no
+                    # failure after index i can be the one to raise.
+                    with counter.get_lock():
+                        counter.value = len(items)
+                    return done, (i, exc)
+            done.append((start, chunk))
+            start = claim()
+        return done, None
+
+    def child(conn):
+        conn.send(work(claim()))
+
+    first = claim()
+    procs, conns = [], []
+    try:
+        for _ in range(extra):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=child, args=(writer,))
+            proc.start()
+            writer.close()  # so that a child that dies leaves EOF behind
+            procs.append(proc)
+            conns.append(reader)
+        reports = [work(first)]
+        for conn in conns:
+            try:
+                reports.append(conn.recv())
+            except EOFError:
+                raise RuntimeError("a sweep worker ended without reporting") from None
+    finally:  # also after an error or an interrupt in this process
+        for proc in procs:
+            proc.terminate()  # a child that has reported has nothing left to do
+            proc.join()
+        for conn in conns:
+            conn.close()
+    failures = [failure for _, failure in reports if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(items)
+    for done, _ in reports:
+        for start, chunk in done:
+            results[start:start + len(chunk)] = chunk
+    return results
 
 
 EXPECTED_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
@@ -218,14 +308,16 @@ def check_tree_embeddings(quick: bool = False) -> tuple[bool, str]:
     u3 = universal_tree(3)
     trees3 = _tree_posets_on(3)
     sample_count = 100 if quick else 1000
-    for i in range(sample_count):
+
+    def sample(i):
         coloring = random_proper_coloring(u3.poset, random.Random(f"t3-{i}"))
         for t in trees3:
             embed_universal(t, u3, coloring)
+
+    _sweep(sample, range(sample_count))
     seeds = 1000 if quick else 10_000
     ks = {}
-    for seed in range(seeds):
-        stats = downtree_fuzz_case(seed)
+    for stats in _sweep(downtree_fuzz_case, range(seeds)):
         ks[stats["k"]] = ks.get(stats["k"], 0) + 1
     return True, (
         f"{exhaustive} exhaustive colorings at order 2, {sample_count} sampled "
@@ -264,14 +356,17 @@ def check_h2free_mass_maximum(quick: bool = False) -> tuple[bool, str]:
     if best != bound:
         return False, f"exhaustive maximum is {best}, want {bound}"
     samples = 1000 if quick else 10_000
+    seeds = [(n, i) for n in range(5, 9) for i in range(samples)]
+
+    def sample_mass(seed):
+        n, i = seed
+        return lubell_mass(greedy_pattern_free_family(n, h2, random.Random(f"h2-{n}-{i}")))
+
     worst = Fraction(0)
-    for n in range(5, 9):
-        for i in range(samples):
-            fam = greedy_pattern_free_family(n, h2, random.Random(f"h2-{n}-{i}"))
-            mass = lubell_mass(fam)
-            worst = max(worst, mass)
-            if mass > bound:
-                return False, f"sampled harp-free family at n={n} has mass {mass}"
+    for (n, _), mass in zip(seeds, _sweep(sample_mass, seeds)):
+        worst = max(worst, mass)
+        if mass > bound:
+            return False, f"sampled harp-free family at n={n} has mass {mass}"
     return True, (
         f"exhaustive maximum 19/6 (witness {witness.members()}); "
         f"{4 * samples} samples peak at {worst}"

@@ -72,6 +72,19 @@ def test_sigma_and_usage_error(capsys):
     assert code == 2
 
 
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    import rainbowposet.cli as cli
+
+    def broken(args):
+        raise KeyError("no such entry")
+
+    monkeypatch.setattr(cli, "cmd_sigma", broken)
+    assert main(["sigma", "4", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: KeyError: 'no such entry'\n"
+
+
 def test_gen_manifest(tmp_path, capsys):
     code, out = run_cli(capsys, "gen", "--max-size", "4", "--out", str(tmp_path / "cat"))
     assert code == 0
