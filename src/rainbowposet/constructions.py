@@ -106,7 +106,8 @@ def blowup(p: Poset, pi) -> Poset:
                 for a in range(length[e]):
                     rows[start[e] + a] |= block
     out = Poset(rows, labels=labels)
-    assert out.n == perp_value(p)
+    if out.n != perp_value(p):
+        raise AssertionError("blow-up size differs from perp_value")
     return out
 
 

@@ -291,6 +291,8 @@ def _branch_and_bound(candidates, weights, start, admits, node_budget):
 def _pattern_free(n, patterns):
     """Predicate of the pattern-free searches: no induced copy of a pattern
     passes through `new`."""
+    if any(p.n == 0 for p in patterns):
+        raise BadParams("every family contains the empty pattern")
     plans = [plan_for(p) for p in patterns]
     total = 1 << n
     up, down = _cube_rows(n)
@@ -322,6 +324,8 @@ def la_rainbow_star(n: int, pattern: Poset) -> LaResult:
     increasing masks."""
     if n > LA_STAR_CAP:
         raise CapExceeded(f"exhaustive la_rainbow_star is limited to n <= {LA_STAR_CAP}")
+    if pattern.n == 0:
+        raise BadParams("every family rainbow-forces the empty pattern")
     total = 1 << n
 
     def refutable(grown, new):
@@ -333,7 +337,8 @@ def la_rainbow_star(n: int, pattern: Poset) -> LaResult:
     )
     witness = SetFamily.from_masks(n, _bits(best))
     coloring = refuting_coloring(family_poset(witness), pattern, None)
-    assert coloring is not None
+    if coloring is None:
+        raise AssertionError("the refutable witness has no refuting coloring")
     return LaResult(value=value, witness=witness, coloring=coloring)
 
 

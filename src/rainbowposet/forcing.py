@@ -151,8 +151,11 @@ def refuting_coloring(
 
     Elements are colored in rank-then-index order; a branch dies as soon as
     its colored prefix holds a rainbow copy, which only requires a search
-    anchored at the element just colored.
+    anchored at the element just colored. Every coloring holds the empty
+    pattern, so nothing refutes it.
     """
+    if pattern.n == 0:
+        return None
     n = host.n
     rank = rank_partition(host).rank
     order = sorted(range(n), key=lambda x: (rank[x], x))
@@ -228,8 +231,10 @@ def rainbow_forces(
     refutation = refuting_coloring(host, pattern, budget_s)
     if refutation is None:
         return ForcingVerdict(forces=True, refutation=None)
-    assert is_proper(host, refutation)
-    assert not has_rainbow_copy(host, refutation, pattern)
+    if not is_proper(host, refutation):
+        raise AssertionError("refuting coloring is not proper")
+    if has_rainbow_copy(host, refutation, pattern):
+        raise AssertionError("refuting coloring holds a rainbow copy")
     return ForcingVerdict(forces=False, refutation=refutation)
 
 

@@ -16,8 +16,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .constructions import UniversalTree
 from .errors import BadParams, NotATreePoset, PreconditionViolated
 from .forcing import Coloring, is_proper
@@ -148,20 +146,6 @@ def verify_certificate(
 
 
 # --- hosts ---------------------------------------------------------------------
-#
-# A tree host is a complete k-ary tree of height h whose nodes carry colors,
-# ordered with the root on top. The embedders read a host only through:
-#   k, h                   arity and height (vertices on a root-leaf path);
-#   rank(v)                h minus the depth of v, so the root has rank h;
-#   children(v)            the nodes v covers, in a fixed order;
-#   color(v)               the color of v;
-#   has_color_below(v, c)  whether color c occurs at v or in its subtree;
-#   max_rank_usable(avoid) a highest-ranked node whose color is not in
-#                          avoid, or None;
-#   less(a, b)             a strictly below b in the tree order.
-# CompleteDowntreeHost computes these by arithmetic on a breadth-first
-# layout, so hosts too large to build as a Poset can be fuzzed;
-# OrientedTreeHost reads them from a poset, in either orientation.
 
 
 def _blocked_below(host, v: int, avoid) -> int:
@@ -194,10 +178,23 @@ def _read_downtree(p: Poset, orientation: str, what: str):
 
 
 class CompleteDowntreeHost:
-    """Complete k-ary downtree of height h in breadth-first layout: node 0
-    is the unique maximum, the children of v are k*v+1 .. k*v+k. Subtrees
-    are contiguous per level, so color presence below a node reduces to
-    binary searches in per-color occurrence lists."""
+    """Complete k-ary downtree of height h with colored nodes, in
+    breadth-first layout: node 0 is the unique maximum, the children of v
+    are k*v+1 .. k*v+k. Layout arithmetic stands in for a Poset, so hosts
+    too large to build as one can be fuzzed; a poset host is relabeled
+    into this layout by `_breadth_first_host`.
+
+    This is the tree-host contract the embedders read:
+      k, h                   arity and height (vertices on a root-leaf path);
+      rank(v)                h minus the depth of v, so the root has rank h;
+      children(v)            the nodes v covers, in a fixed order;
+      color(v)               the color of v;
+      has_color_below(v, c)  whether color c occurs at v or in its subtree;
+      max_rank_usable(avoid) a highest-ranked node whose color is not in
+                             avoid, or None;
+      less(a, b)             a strictly below b in the tree order.
+    A subtree covers one contiguous run of nodes on each level, so color
+    presence below a node is one scan of a slice per level."""
 
     def __init__(self, k: int, h: int, colors):
         if k < 1 or h < 1:
@@ -213,8 +210,7 @@ class CompleteDowntreeHost:
         self.offsets = offsets
         if len(colors) != s:
             raise BadParams("coloring does not cover the host")
-        self.colors = np.asarray(colors, dtype=np.int64)
-        self._occ = {}
+        self.colors = list(colors)
 
     def depth(self, v: int) -> int:
         return bisect.bisect_right(self.offsets, v) - 1
@@ -228,8 +224,8 @@ class CompleteDowntreeHost:
             return ()
         return tuple(range(first, first + self.k))
 
-    def color(self, v: int) -> int:
-        return int(self.colors[v])
+    def color(self, v: int):
+        return self.colors[v]
 
     def less(self, a: int, b: int) -> bool:
         """a strictly below b in the downtree order: b is a tree ancestor."""
@@ -239,42 +235,44 @@ class CompleteDowntreeHost:
                 return True
         return False
 
-    def _occurrences(self, color):
-        occ = self._occ.get(color)
-        if occ is None:
-            idx = np.nonzero(self.colors == color)[0]
-            occ = []
-            for d in range(self.h):
-                lo = np.searchsorted(idx, self.offsets[d])
-                hi = np.searchsorted(idx, self.offsets[d + 1])
-                occ.append(idx[lo:hi])
-            self._occ[color] = occ
-        return occ
-
     def has_color_below(self, v: int, color) -> bool:
-        occ = self._occurrences(color)
         lo = hi = v
-        for lvl in range(self.depth(v), self.h):
-            arr = occ[lvl]
-            if len(arr):
-                pos = np.searchsorted(arr, lo)
-                if pos < len(arr) and arr[pos] <= hi:
-                    return True
+        for _ in range(self.depth(v), self.h):
+            if color in self.colors[lo : hi + 1]:
+                return True
             lo = self.k * lo + 1
             hi = self.k * hi + self.k
         return False
 
     def max_rank_usable(self, avoid) -> Optional[int]:
-        if not avoid:
-            return 0
-        avoid_arr = np.fromiter(avoid, dtype=np.int64)
-        for d in range(self.h):
-            sl = self.colors[self.offsets[d] : self.offsets[d + 1]]
-            usable = ~np.isin(sl, avoid_arr)
-            idx = int(np.argmax(usable))
-            if usable[idx]:
-                return self.offsets[d] + idx
+        """The first node in breadth-first order whose color is usable."""
+        for v, c in enumerate(self.colors):
+            if c not in avoid:
+                return v
         return None
+
+
+def _breadth_first_host(p: Poset, colors, orientation: str = "down", arity=None):
+    """(host, order): the poset p, read as a downtree in the given
+    orientation, relabeled into a CompleteDowntreeHost. order lists the
+    elements of p breadth-first, children in index order, so host node v is
+    element order[v] of p and carries its color. A single element takes
+    the required arity, or 1."""
+    root, kids, _ = _read_downtree(p, orientation, "host tree")
+    order = [root]
+    depth = [0] * p.n
+    for x in order:  # grows while it is read: a breadth-first listing
+        for y in kids[x]:
+            depth[y] = depth[x] + 1
+            order.append(y)
+    arities = {len(kids[x]) for x in order if kids[x]}
+    if len(arities) > 1 or len({depth[x] for x in order if not kids[x]}) != 1:
+        raise PreconditionViolated("host is not a complete k-ary tree")
+    k = arities.pop() if arities else (arity if arity is not None else 1)
+    if arity is not None and k != arity:
+        raise PreconditionViolated(f"host arity {k} differs from required {arity}")
+    host = CompleteDowntreeHost(k, depth[order[-1]] + 1, [colors[x] for x in order])
+    return host, order
 
 
 def random_downtree_coloring(k: int, h: int, rng):
@@ -316,71 +314,6 @@ def random_downtree_coloring(k: int, h: int, rng):
         for i in range(depth):
             desc[anc[i]] |= bit
     return colors
-
-
-class OrientedTreeHost:
-    """Adapter exposing a poset as a rooted complete tree with colors.
-
-    Orientation 'down' reads the poset as is (root = unique maximum);
-    'up' reads it upside down."""
-
-    def __init__(self, poset: Poset, colors, orientation: str = "down", arity=None):
-        n = poset.n
-        self.root, self._children, down = _read_downtree(poset, orientation, "host tree")
-        self.colors = list(colors)
-        depth = [-1] * n
-        depth[self.root] = 0
-        frontier = [self.root]
-        levels = [tuple(frontier)]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for c in self._children[v]:
-                    depth[c] = depth[v] + 1
-                    nxt.append(c)
-            if nxt:
-                levels.append(tuple(sorted(nxt)))
-            frontier = nxt
-        self.h = len(levels)
-        self.levels = levels
-        self._depth = depth
-        arities = {len(self._children[v]) for v in range(n) if self._children[v]}
-        leaf_depths = {depth[v] for v in range(n) if not self._children[v]}
-        if len(arities) > 1 or len(leaf_depths) != 1:
-            raise PreconditionViolated("host is not a complete k-ary tree")
-        self.k = arities.pop() if arities else (arity if arity is not None else 1)
-        if arity is not None and self.k != arity:
-            raise PreconditionViolated(
-                f"host arity {self.k} differs from required {arity}"
-            )
-        self._subtree = [down[x] | (1 << x) for x in range(n)]
-        self._colormask = {}
-        for x in range(n):
-            c = self.colors[x]
-            self._colormask[c] = self._colormask.get(c, 0) | (1 << x)
-
-    def rank(self, v: int) -> int:
-        return self.h - self._depth[v]
-
-    def children(self, v: int):
-        return self._children[v]
-
-    def color(self, v: int):
-        return self.colors[v]
-
-    def less(self, a: int, b: int) -> bool:
-        """a strictly below b in the tree order: a lies in the subtree of b."""
-        return a != b and bool(self._subtree[b] >> a & 1)
-
-    def has_color_below(self, v: int, color) -> bool:
-        return bool(self._colormask.get(color, 0) & self._subtree[v])
-
-    def max_rank_usable(self, avoid) -> Optional[int]:
-        for level in self.levels:
-            for v in level:
-                if self.colors[v] not in avoid:
-                    return v
-        return None
 
 
 # --- the embedding core ---------------------------------------------------------
@@ -463,21 +396,28 @@ def embed_downtree(
 ) -> EmbeddingCertificate:
     """Rainbow copy of the downtree t in a properly colored complete k-ary
     downtree host of height k, avoiding the unusable colors; requires
-    k >= |t| + |unusable|. The certificate is re-checked on the poset
-    itself by verify_certificate."""
+    k >= |t| + |unusable|. The host is relabeled breadth-first, children in
+    index order, so the root goes to the first usable element in that
+    order: a highest-ranked usable one, though not always the smallest
+    index on its level when the host is not labeled breadth-first. The
+    certificate is re-checked on the poset itself by verify_certificate."""
     if not is_proper(host, coloring):
         raise PreconditionViolated("host coloring must be proper")
-    cert = embed_downtree_on_host(t, unusable, OrientedTreeHost(host, coloring.colors))
+    tree, order = _breadth_first_host(host, coloring.colors)
+    on_tree = embed_downtree_on_host(t, unusable, tree)
+    cert = EmbeddingCertificate(
+        mapping=tuple(order[v] for v in on_tree.mapping), colors=on_tree.colors
+    )
     if not verify_certificate(host, coloring, t, cert):
         raise AssertionError("embedding produced an invalid certificate")
     return cert
 
 
 def embed_downtree_on_host(t: Poset, unusable, host) -> EmbeddingCertificate:
-    """Rainbow copy of the downtree t in a tree host (CompleteDowntreeHost
-    or OrientedTreeHost) of height equal to its arity k, avoiding the
-    unusable colors; requires k >= |t| + |unusable|. The certificate is
-    checked with the host's own order."""
+    """Rainbow copy of the downtree t in a CompleteDowntreeHost of height
+    equal to its arity k, avoiding the unusable colors; requires
+    k >= |t| + |unusable|. The certificate is checked with the host's own
+    order."""
     unusable = set(unusable)
     if host.h != host.k:
         raise PreconditionViolated("host must have arity equal to its height")
@@ -523,19 +463,22 @@ def embed_universal(
     mapping = {}
 
     def embed_region(block, region_elems, orientation, avoid):
-        sub = host.restrict(region_elems)
-        local_color = [coloring.colors[e] for e in region_elems]
-        view = OrientedTreeHost(sub, local_color, orientation, arity=ut.k)
+        view, order = _breadth_first_host(
+            host.restrict(region_elems),
+            [coloring.colors[e] for e in region_elems],
+            orientation,
+            arity=ut.k,
+        )
         blk = t.restrict(block)
         root, kids, sizes = _pattern_downtree(blk, orientation)
-        blocked_here = _blocked_below(view, view.root, avoid)
+        blocked_here = _blocked_below(view, 0, avoid)
         if view.h < len(block) + blocked_here:
             raise PreconditionViolated(
                 "region too short for its block and blocked colors; the rank "
                 "bookkeeping for appended components does not close"
             )
         image_local = _embed_block(root, kids, sizes, view, avoid)
-        return {block[bi]: region_elems[local] for bi, local in image_local.items()}
+        return {block[bi]: region_elems[order[v]] for bi, v in image_local.items()}
 
     base_block = meta.block_of(meta.base)
     core = tuple(sorted(ut.core))

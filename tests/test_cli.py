@@ -1,8 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import hashlib
 import json
-import os
-import pathlib
 import subprocess
 import sys
 
@@ -185,15 +184,12 @@ def test_bad_construct_params_are_a_usage_error(tmp_path, capsys, params):
     assert "Traceback" not in captured.err
 
 
-def test_module_entry_point():
-    env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+def test_module_entry_point(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "rainbowposet", "sigma", "4", "2"],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -206,6 +202,18 @@ def test_lar_star(tmp_path, capsys):
     code, out = run_cli(capsys, "lar-star", "3", str(patt))
     assert code == 0
     assert json.loads(out)["value"] == 5
+
+
+def test_empty_pattern(tmp_path, capsys):
+    empty = tmp_path / "e.poset"
+    empty.write_text("poset n=0\n")
+    code, out = run_cli(capsys, "forces", str(empty), str(empty))
+    assert code == 0 and json.loads(out) == {"schema": 1, "forces": True}
+    code, out = run_cli(capsys, "minimal", str(empty), str(empty))
+    assert code == 0 and json.loads(out) == {"schema": 1, "minimal": True}
+    for argv in (["la-star", "2", "--pattern", str(empty)], ["lar-star", "3", str(empty)]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
 
 
 def test_timings_flag(tmp_path, capsys):
@@ -236,3 +244,72 @@ def test_verify_report_lines(monkeypatch, capsys):
     code, out = run_cli(capsys, "verify-paper", "--quick")
     assert code == 1
     assert "FAIL beta" in out and "1/2 checks passed" in out
+
+
+# Runs each argv through main() and prints one JSON line per command: its
+# name, exit code and stdout.
+_DRIVER = """
+import contextlib, io, json, sys
+from rainbowposet.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(json.dumps([argv[0], code, out.getvalue()]))
+"""
+
+# sha256 of the driver lines of the embed commands below, computed when
+# poset regions were still read by a separate poset-backed host class:
+# relabeling them breadth-first left every certificate unchanged.
+EMBED_DIGEST = "d6211f925d22661b66b0c9c7c5ae0b1b1ce0bdfd892ac9698e57e68d9111d4e1"
+
+
+def test_subcommands_are_byte_identical_across_hash_seeds(tmp_path, capsys, src_env):
+    files = {}
+    for name, params in [
+        ("chain2", ["chain", "2"]),
+        ("vee", ["vee"]),
+        ("wedge", ["wedge"]),
+        ("harp2", ["harp", "2"]),
+        ("diamond", ["diamond"]),
+        ("a2", ["antichain", "2"]),
+    ]:
+        files[name] = str(tmp_path / f"{name}.poset")
+        run_cli(capsys, "construct", *params, "-o", files[name])
+    embeds = [
+        ["embed", "--tree", files[tree], "--k", "3", "--seed", str(seed)]
+        for tree in ("chain2", "vee", "wedge")
+        for seed in range(5)
+    ] + [["embed", "--tree", files["chain2"], "--k", "2", "--exhaustive"]]
+    others = [
+        ["forces", files["harp2"], files["diamond"]],
+        ["minimal", files["harp2"], files["diamond"]],
+        ["la-star", "3", "--pattern", files["vee"]],
+        ["lar-star", "3", files["a2"]],
+        ["m-value", files["vee"]],
+        ["search-m", files["vee"], "--max-size", "5"],
+    ]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _DRIVER, json.dumps(embeds + others)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**src_env, "PYTHONHASHSEED": hashseed},
+        )
+        for hashseed in ("1", "2")
+    ]
+    outputs = []
+    try:
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err.decode()
+            outputs.append(out)
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines(keepends=True)
+    assert len(lines) == len(embeds) + len(others)
+    assert all(json.loads(line)[1] == 0 for line in lines)
+    embed_bytes = b"".join(lines[: len(embeds)])
+    assert hashlib.sha256(embed_bytes).hexdigest() == EMBED_DIGEST

@@ -30,6 +30,7 @@ from rainbowposet import (
     la_rainbow_star,
     la_star,
     lubell_mass,
+    make_poset,
     max_mass_pattern_free_with_extremes,
     middle_layers,
     minmax_partition,
@@ -217,6 +218,20 @@ class TestExtremalSearches:
         p = family_poset(res.witness)
         assert is_proper(p, res.coloring)
         assert not has_rainbow_copy(p, res.coloring, antichain(2))
+
+    def test_empty_pattern_is_rejected(self):
+        # every family holds the empty pattern, so no witness avoids it
+        from rainbowposet import la_star_bracket
+
+        empty = make_poset(0, [])
+        with pytest.raises(BadParams):
+            la_star(2, [chain(2), empty])
+        with pytest.raises(BadParams):
+            la_star_bracket(4, [empty])
+        with pytest.raises(BadParams):
+            max_mass_pattern_free_with_extremes(3, empty)
+        with pytest.raises(BadParams):
+            la_rainbow_star(3, empty)
 
     def test_mass_maximum_with_extremes(self):
         best, witness = max_mass_pattern_free_with_extremes(4, harp(2))

@@ -1,6 +1,8 @@
 """Proper colorings, rainbow copies and the forcing decision procedure."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -124,6 +126,33 @@ class TestRefutation:
             assert not v.forces
             assert is_proper(host, v.refutation)
             assert not has_rainbow_copy(host, v.refutation, pattern)
+
+    def test_empty_pattern_is_never_refuted(self):
+        empty = make_poset(0, [])
+        for host in (empty, vee()):
+            assert refuting_coloring(host, empty) is None
+            assert rainbow_forces(host, empty).forces
+        assert is_minimal_forcing(empty, empty)
+
+    def test_refutation_recheck_survives_optimize(self, src_env):
+        # `python -O` strips assert statements; the re-check must still run
+        code = (
+            "import rainbowposet.forcing as f\n"
+            "f.refuting_coloring = lambda host, pattern, budget_s=None: f.Coloring((0, 0))\n"
+            "try:\n"
+            "    f.rainbow_forces(f.Poset([2, 0]), f.Poset([0]))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env=src_env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "refuting coloring is not proper\n"
 
     def test_budget(self):
         from rainbowposet import o_jk

@@ -10,7 +10,6 @@ prints the digest of a small sweep, on the first CPU only or on all of them.
 import hashlib
 import multiprocessing
 import os
-import pathlib
 import random
 import signal
 import subprocess
@@ -78,17 +77,14 @@ def test_sweeps_match_the_serial_pins():
     assert _digest(_sweep(_greedy, seeds)) == GREEDY_DIGEST
 
 
-def test_same_bytes_on_one_cpu_and_on_all_cpus():
-    env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+def test_same_bytes_on_one_cpu_and_on_all_cpus(src_env):
     digests = []
     for cpus, hashseed in (("one", "1"), ("all", "2")):
         proc = subprocess.run(
             [sys.executable, __file__, cpus],
             capture_output=True,
             text=True,
-            env={**env, "PYTHONHASHSEED": hashseed},
+            env={**src_env, "PYTHONHASHSEED": hashseed},
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
 """Tree classification, the downtree embedder and the universal embedder."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -32,7 +34,7 @@ from rainbowposet import (
     verify_certificate,
     wedge,
 )
-from rainbowposet.treeembed import EmbeddingCertificate, OrientedTreeHost
+from rainbowposet.treeembed import EmbeddingCertificate, _breadth_first_host
 
 
 def tree_posets_on(n):
@@ -189,29 +191,64 @@ class TestArithmeticHost:
         assert downtree_fuzz_case(137)["k"] == 7
 
 
-class TestHostAgreement:
-    """downtree(k, k) numbers its elements in the breadth-first layout of
-    CompleteDowntreeHost(k, k, ...), so both host representations of the
-    same colored tree must answer alike and yield the same certificate."""
+class TestBreadthFirstHost:
+    """A poset host is relabeled breadth-first, children in index order,
+    into the layout of CompleteDowntreeHost; node v is element order[v]."""
 
-    def test_hosts_answer_the_contract_alike(self):
-        rng = random.Random("host-contract")
+    def test_builders_are_already_breadth_first(self):
         for k in range(1, 5):
-            coloring = Coloring.from_values(random_downtree_coloring(k, k, rng))
-            view = OrientedTreeHost(downtree(k, k), coloring.colors)
-            arith = CompleteDowntreeHost(k, k, coloring.colors)
-            assert (view.k, view.h) == (arith.k, arith.h) == (k, k)
-            palette = range(coloring.num_colors + 1)
-            for v in range(arith.size):
-                assert view.rank(v) == arith.rank(v)
-                assert view.children(v) == arith.children(v)
-                assert view.color(v) == arith.color(v)
-                for c in palette:
-                    assert view.has_color_below(v, c) == arith.has_color_below(v, c)
-                for w in range(arith.size):
-                    assert view.less(v, w) == arith.less(v, w)
-            for avoid in ({coloring.colors[0]}, set(palette[:2]), set(palette)):
-                assert view.max_rank_usable(avoid) == arith.max_rank_usable(avoid)
+            host = downtree(k, k)
+            _, order = _breadth_first_host(host, [0] * host.n)
+            assert order == list(range(host.n))
+        for k in range(1, 4):
+            ut = universal_tree(k)
+            regions = [(tuple(sorted(ut.core)), "down")] + [
+                (tuple(sorted(r)), "up" if ut.side[e] == "down" else "down")
+                for e, r in ut.regions.items()
+            ]
+            for elems, orientation in regions:
+                sub = ut.poset.restrict(elems)
+                host, order = _breadth_first_host(sub, [0] * sub.n, orientation, ut.k)
+                assert order == list(range(sub.n))
+                assert host.k == ut.k and host.size == sub.n
+
+    def test_permuted_host_maps_back(self):
+        base = downtree(3, 3)
+        rng = random.Random("permuted-host")
+        for _ in range(50):
+            perm = list(range(base.n))
+            rng.shuffle(perm)
+            host = make_poset(base.n, [(perm[a], perm[b]) for a, b in base.cover_pairs()])
+            tn = rng.randint(1, 3)
+            pattern = make_poset(tn, [(i, rng.randrange(i)) for i in range(1, tn)])
+            coloring = random_proper_coloring(host, rng)
+            palette = coloring.num_colors
+            u_ct = rng.randint(0, 3 - tn)
+            unusable = set(rng.sample(range(palette + 2), min(u_ct, palette + 2)))
+            cert = embed_downtree(pattern, unusable, host, coloring)
+            assert verify_certificate(host, coloring, pattern, cert)
+            assert not set(cert.colors) & unusable
+
+    def test_rejects_wrong_arity(self):
+        with pytest.raises(PreconditionViolated, match="host arity 2 differs from required 3"):
+            _breadth_first_host(downtree(2, 2), [0, 1, 1], arity=3)
+
+    def test_cli_does_not_import_numpy(self, src_env):
+        code = "import sys, rainbowposet.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=src_env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+
+class TestHostAgreement:
+    """downtree(k, k) is labeled breadth-first, so the poset path and the
+    arithmetic path over the same colored tree yield the same certificate."""
 
     def test_same_certificate_on_both_hosts(self):
         rng = random.Random("host-agreement")
