@@ -4,7 +4,7 @@ Hosts are passed as bit rows so the same kernel serves posets and set
 families. Patterns are preprocessed once into a plan holding, for every
 possible anchor vertex, a static search order with per-step constraints,
 and the up- and down-degree of every distinct role. One recursive extender
-answers existence (it stops at the first copy) and collects every copy.
+answers existence only: it stops at the first copy.
 """
 
 from __future__ import annotations
@@ -83,12 +83,10 @@ def plan_for(pattern):
     return _plan_cached(pattern._up, pattern._down, pattern.n)
 
 
-def _extend(up, down, steps, image, i, avail, colors, colorbits, found):
+def _extend(up, down, steps, image, i, avail, colors, colorbits):
     """Map steps i.. onto `avail` (the active host elements not yet used),
     given the images of steps < i; with `colors`, no color may repeat among
-    `colorbits`. Returns True at the first complete copy when `found` is
-    None; otherwise adds every complete copy to `found` as a sorted element
-    tuple and returns False.
+    `colorbits`. Returns True at the first complete copy.
 
     Every candidate lies in `avail`, so it is active, unused and distinct
     from each earlier image w: "incomparable to w" is ~(up[w] | down[w]).
@@ -116,11 +114,7 @@ def _extend(up, down, steps, image, i, avail, colors, colorbits, found):
                 continue
             bits |= cbit
         image[i] = x
-        if last:
-            if found is None:
-                return True
-            found.add(tuple(sorted(image)))
-        elif _extend(up, down, steps, image, i + 1, avail ^ low, colors, bits, found):
+        if last or _extend(up, down, steps, image, i + 1, avail ^ low, colors, bits):
             return True
     return False
 
@@ -143,7 +137,7 @@ def exists_copy(host_up, host_down, n, plan, *, active=None, colors=None, anchor
         return True
     if anchor is None:
         return _extend(
-            host_up, host_down, plan.steps[None], [0] * m, 0, active, colors, 0, None
+            host_up, host_down, plan.steps[None], [0] * m, 0, active, colors, 0
         )
     if not active >> anchor & 1:
         return False
@@ -159,23 +153,9 @@ def exists_copy(host_up, host_down, n, plan, *, active=None, colors=None, anchor
             need_above <= above
             and need_below <= below
             and _extend(
-                host_up, host_down, plan.steps[v], image, 1, avail, colors, colorbits, None
+                host_up, host_down, plan.steps[v], image, 1, avail, colors, colorbits
             )
         ):
             return True
     return False
 
-
-def all_copies_colored(host_up, host_down, n, plan, colors, active=None):
-    """All induced copies among the active host elements as sorted element
-    tuples, in ascending order; only the rainbow ones unless `colors` is
-    None."""
-    m = plan.m
-    if m == 0:
-        return [()]
-    if active is None:
-        active = (1 << n) - 1
-    found = set()
-    if m <= active.bit_count():
-        _extend(host_up, host_down, plan.steps[None], [0] * m, 0, active, colors, 0, found)
-    return sorted(found)

@@ -295,62 +295,3 @@ def universal_tree(k: int) -> UniversalTree:
         regions=regions,
     )
 
-
-def cg_radius(p: Poset):
-    """(radius, centers) of the comparability graph, by BFS from every
-    element over bitmask frontiers."""
-    n = p.n
-    adj = [p._up[x] | p._down[x] for x in range(n)]
-    full = (1 << n) - 1
-    best = None
-    centers = []
-    for s in range(n):
-        seen = 1 << s
-        frontier = seen
-        ecc = 0
-        while seen != full:
-            new = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                new |= adj[low.bit_length() - 1]
-                rest ^= low
-            frontier = new & ~seen
-            if not frontier:
-                ecc = None  # disconnected
-                break
-            seen |= frontier
-            ecc += 1
-        if ecc is None:
-            continue
-        if best is None or ecc < best:
-            best = ecc
-            centers = [s]
-        elif ecc == best:
-            centers.append(s)
-    return best, tuple(centers)
-
-
-def cover_degree_report(ut: UniversalTree) -> dict:
-    """Measured cover in/out degree ranges per rank of the universal tree.
-
-    The construction's local regularity is reported, not asserted.
-    """
-    p = ut.poset
-    from .poset import rank_partition
-
-    rank = rank_partition(p).rank
-    covers_up = [0] * p.n
-    covers_down = [0] * p.n
-    for a, b in p.cover_pairs():
-        covers_up[a] += 1
-        covers_down[b] += 1
-    report = {}
-    for r in range(1, max(rank) + 1):
-        elems = [x for x in range(p.n) if rank[x] == r]
-        report[r] = {
-            "covers": (min(covers_down[x] for x in elems), max(covers_down[x] for x in elems)),
-            "covered_by": (min(covers_up[x] for x in elems), max(covers_up[x] for x in elems)),
-            "count": len(elems),
-        }
-    return report

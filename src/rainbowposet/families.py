@@ -1,5 +1,5 @@
-"""Set families in the Boolean lattice: Lubell mass, Sperner checks,
-chain statistics, and exact extremal values at tiny ground-set sizes.
+"""Set families in the Boolean lattice: Lubell mass, chain statistics,
+and exact extremal values at tiny ground-set sizes.
 
 Masses are exact rationals throughout; floating point never reaches an
 assertion.
@@ -15,7 +15,7 @@ from math import comb, factorial, lcm
 from typing import Optional
 
 from ._copies import exists_copy, plan_for
-from .errors import BadParams, CapExceeded, PreconditionViolated
+from .errors import BadParams, CapExceeded
 from .forcing import Coloring, _forces, has_rainbow_copy, is_proper, refuting_coloring
 from .poset import Poset, _bits
 
@@ -87,80 +87,6 @@ def sigma(n: int, k: int) -> int:
         raise BadParams("sigma needs 0 <= k <= n+1")
     base = (n - k) // 2
     return sum(comb(n, base + i) for i in range(1, k + 1))
-
-
-def family_height(f: SetFamily) -> int:
-    """Longest chain of nested sets in the family."""
-    if not f.sets:
-        return 0
-    order = sorted(range(len(f.sets)), key=lambda i: f.sets[i].bit_count())
-    best = [1] * len(f.sets)
-    for pos, i in enumerate(order):
-        for j in order[:pos]:
-            if f.sets[j] != f.sets[i] and f.sets[j] & f.sets[i] == f.sets[j]:
-                best[i] = max(best[i], best[j] + 1)
-    return max(best)
-
-
-def is_k_sperner(f: SetFamily, k: int) -> bool:
-    return family_height(f) <= k
-
-
-def check_klym(f: SetFamily, k: int) -> bool:
-    """Mass bound for chain-free families: vacuously true unless k-Sperner,
-    in which case the Lubell mass must not exceed k."""
-    if not is_k_sperner(f, k):
-        return True
-    return lubell_mass(f) <= k
-
-
-def check_lubm(f: SetFamily) -> bool:
-    """Size is at most mass times the largest binomial coefficient."""
-    return len(f.sets) <= lubell_mass(f) * comb(f.n, f.n // 2)
-
-
-def check_stab(f: SetFamily, k: int, i: int) -> bool:
-    """Stability form of the k-Sperner size bound for families holding a
-    small set; exact rational comparison."""
-    if not is_k_sperner(f, k):
-        raise PreconditionViolated("family is not k-Sperner")
-    if not any(m.bit_count() == i for m in f.sets):
-        raise PreconditionViolated(f"family holds no set of size {i}")
-    if not i < f.n / 2:
-        raise PreconditionViolated("stability check needs i < n/2")
-    n = f.n
-    bound = sigma(n, k) - Fraction(comb(n, (n - k) // 2), comb(n, i)) + 1
-    return len(f.sets) <= bound
-
-
-def _o2_pattern() -> Poset:
-    from .constructions import organ
-
-    return organ(2)
-
-
-def is_complete_multipartite(f: SetFamily) -> bool:
-    """True iff the containment order has no induced one-chain-plus-one-point
-    configuration; cross-checked against direct level-structure detection."""
-    p = family_poset(f)
-    plan = plan_for(_o2_pattern())
-    free = not exists_copy(p._up, p._down, p.n, plan)
-    if free != _is_complete_multipartite_structure(p):
-        raise AssertionError("multipartite detections disagree")
-    return free
-
-
-def _is_complete_multipartite_structure(p: Poset) -> bool:
-    remaining = list(range(p.n))
-    while remaining:
-        mins = [x for x in remaining if not any(p.less(y, x) for y in remaining)]
-        rest = [x for x in remaining if x not in mins]
-        for x in mins:
-            for y in rest:
-                if not p.less(x, y):
-                    return False
-        remaining = rest
-    return True
 
 
 # --- maximal chains -----------------------------------------------------------
@@ -296,9 +222,14 @@ def _pattern_free(n, patterns):
     plans = [plan_for(p) for p in patterns]
     total = 1 << n
     up, down = _cube_rows(n)
-    return lambda grown, new: not any(
-        exists_copy(up, down, total, pl, active=grown, anchor=new) for pl in plans
-    )
+
+    def admits(grown, new):
+        for plan in plans:
+            if exists_copy(up, down, total, plan, active=grown, anchor=new):
+                return False
+        return True
+
+    return admits
 
 
 def la_star(n: int, patterns) -> LaResult:
@@ -407,16 +338,13 @@ def max_mass_pattern_free_with_extremes(n: int, pattern: Poset):
 def greedy_pattern_free_family(n: int, pattern: Poset, rng) -> SetFamily:
     """Random-insertion-order maximal pattern-free family. A heuristic
     explorer for mass bounds at sizes beyond the exhaustive cap."""
-    plan = plan_for(pattern)
-    total = 1 << n
-    up, down = _cube_rows(n)
-    order = list(range(total))
+    admits = _pattern_free(n, [pattern])
+    order = list(range(1 << n))
     rng.shuffle(order)
     fam = 0
     for mask in order:
-        fam |= 1 << mask
-        if exists_copy(up, down, total, plan, active=fam, anchor=mask):
-            fam ^= 1 << mask
+        if admits(fam | 1 << mask, mask):
+            fam |= 1 << mask
     return SetFamily.from_masks(n, _bits(fam))
 
 

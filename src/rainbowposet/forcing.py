@@ -13,8 +13,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ._copies import all_copies_colored, exists_copy, plan_for
-from .errors import CapExceeded, ForcingTimeout, PreconditionViolated
+from ._copies import exists_copy, plan_for
+from .errors import BadParams, CapExceeded, ForcingTimeout, PreconditionViolated
 from .poset import Poset, canonical_key, dual, linear_sum, perp_value, rank_partition
 from .catalog import DEFAULT_CAP, posets_of_size
 
@@ -80,16 +80,6 @@ def has_rainbow_copy(host: Poset, coloring: Coloring, pattern: Poset) -> bool:
     return exists_copy(
         host._up, host._down, host.n, plan_for(pattern), colors=coloring.colors
     )
-
-
-def find_rainbow_copy(host: Poset, coloring: Coloring, pattern: Poset):
-    """Lexicographically least rainbow induced copy, or None."""
-    if not is_proper(host, coloring):
-        raise PreconditionViolated("coloring must be proper on the host")
-    copies = all_copies_colored(
-        host._up, host._down, host.n, plan_for(pattern), coloring.colors
-    )
-    return copies[0] if copies else None
 
 
 def proper_colorings(p: Poset):
@@ -259,6 +249,8 @@ def search_M(
     Sizes ascend, so every single-element deletion of a host is a class of
     the previous size that is already decided: a forcer is minimal exactly
     when no deletion's key is among the forcing keys found so far."""
+    if pattern.n == 0:
+        raise BadParams("every poset rainbow-forces the empty pattern")
     if size_bound > cap:
         raise CapExceeded(f"size bound {size_bound} above enumeration cap {cap}")
     forcing = set()
@@ -297,6 +289,8 @@ def m_value(pattern: Poset, cap: int = DEFAULT_CAP, budget_s=DEFAULT_BUDGET_S) -
     deletion-minimal. When the window upper end (the blow-up size) exceeds
     the enumeration cap and no forcer was found, a bracket is returned.
     """
+    if pattern.n == 0:
+        raise BadParams("every poset rainbow-forces the empty pattern")
     hi = perp_value(pattern)
     for n in range(pattern.n, min(hi, cap) + 1):
         for host in posets_of_size(n, cap):

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
-from ._copies import all_copies_colored, exists_copy, plan_for
 from .errors import BadParams, CapExceeded, CyclicInput
 
 
@@ -295,38 +293,6 @@ def is_tree_poset(p: Poset) -> bool:
     return seen == (1 << n) - 1
 
 
-def down_set(p: Poset, x: int) -> Poset:
-    """Induced subposet on {y : y <= x}."""
-    return p.restrict(list(_bits(p._down[x] | (1 << x))))
-
-
-def up_set(p: Poset, x: int) -> Poset:
-    """Induced subposet on {y : x <= y}."""
-    return p.restrict(list(_bits(p._up[x] | (1 << x))))
-
-
-def width(p: Poset, cap: int = 20) -> int:
-    """Largest antichain, by branch and bound. Diagnostic only."""
-    if p.n > cap:
-        raise CapExceeded(f"width is only computed for n <= {cap}")
-    incomp = [~(p._up[x] | p._down[x] | (1 << x)) & ((1 << p.n) - 1) for x in range(p.n)]
-    best = 0
-
-    def grow(chosen_count, candidates):
-        nonlocal best
-        if chosen_count + candidates.bit_count() <= best:
-            return
-        if not candidates:
-            best = max(best, chosen_count)
-            return
-        x = (candidates & -candidates).bit_length() - 1
-        grow(chosen_count + 1, candidates & incomp[x])
-        grow(chosen_count, candidates & ~(1 << x))
-
-    grow(0, (1 << p.n) - 1)
-    return best
-
-
 # --- canonical keys and isomorphism ---------------------------------------
 
 
@@ -471,36 +437,6 @@ def canonical_form(p: Poset) -> Poset:
 
 def are_isomorphic(p: Poset, q: Poset) -> bool:
     return p.n == q.n and canonical_key(p) == canonical_key(q)
-
-
-def isomorphic_by_bruteforce(p: Poset, q: Poset) -> bool:
-    """Oracle: bijection search. Only sensible for small n."""
-    if p.n != q.n:
-        return False
-    for perm in permutations(range(p.n)):
-        if all(
-            p.less(x, y) == q.less(perm[x], perm[y])
-            for x in range(p.n)
-            for y in range(p.n)
-        ):
-            return True
-    return False
-
-
-# --- induced copies --------------------------------------------------------
-
-
-def induced_copies(host: Poset, pattern: Poset):
-    """All element subsets of host that induce pattern, as sorted tuples in
-    ascending lexicographic order. Exhaustive and duplicate-free."""
-    return tuple(
-        all_copies_colored(host._up, host._down, host.n, plan_for(pattern), None)
-    )
-
-
-def contains_induced(host: Poset, pattern: Poset) -> bool:
-    """Existence version of induced_copies."""
-    return exists_copy(host._up, host._down, host.n, plan_for(pattern))
 
 
 # --- text format ------------------------------------------------------------

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rainbowposet import are_isomorphic, harp, organ, poset_from_text
 from rainbowposet.cli import main
@@ -211,9 +213,42 @@ def test_empty_pattern(tmp_path, capsys):
     assert code == 0 and json.loads(out) == {"schema": 1, "forces": True}
     code, out = run_cli(capsys, "minimal", str(empty), str(empty))
     assert code == 0 and json.loads(out) == {"schema": 1, "minimal": True}
-    for argv in (["la-star", "2", "--pattern", str(empty)], ["lar-star", "3", str(empty)]):
+    for argv in (
+        ["la-star", "2", "--pattern", str(empty)],
+        ["lar-star", "3", str(empty)],
+        ["m-value", str(empty)],
+        ["search-m", str(empty), "--max-size", "3"],
+    ):
         code, out = run_cli(capsys, *argv)
         assert code == 2 and out == ""
+
+
+INPUT_TOKENS = [
+    "poset n=0", "poset n=3", "poset n=5", "poset n=", "poset n=x", "poset n=-1",
+    "poset n=5000", "poset", "0 < 1", "1 < 2", "2 < 0", "0 < 0", "4 < 7", "a < b",
+    "<", "# label 0 a", "#", "family n=0", "family n=3", "family n=x", "family",
+    "{}", "1", "1,2", "2,3", "0", "4", "1,,2", ",", "1,2,3", "", "  ",
+]
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.lists(st.sampled_from(INPUT_TOKENS), max_size=6), st.sampled_from(["\n", " "]))
+def test_text_inputs_exit_0_or_one_error_line(tmp_path, capsys, tokens, sep):
+    # every text built from poset and family tokens is either read or
+    # rejected with exit 2 and a single "error: " line
+    path = tmp_path / "input.txt"
+    path.write_text(sep.join(tokens) + "\n")
+    for argv in (["lubell", str(path)], ["forces", str(path), str(path)]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2), (argv[0], tokens, err)
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+            assert "Traceback" not in err
 
 
 def test_timings_flag(tmp_path, capsys):

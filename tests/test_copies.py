@@ -4,7 +4,7 @@ combination of the `active`, `colors` and `anchor` filters."""
 import random
 
 from rainbowposet import posets_of_size
-from rainbowposet._copies import all_copies_colored, exists_copy, plan_for
+from rainbowposet._copies import exists_copy, plan_for
 from test_canonical_keys import random_labeled_posets
 from test_poset import naive_induced_copies
 
@@ -38,10 +38,6 @@ def test_kernel_matches_brute_force():
                 for colors in (None, coloring):
                     mask = (1 << n) - 1 if active is None else active
                     expected = _oracle(copies, mask, colors)
-                    got = all_copies_colored(
-                        host._up, host._down, n, plan, colors, active=active
-                    )
-                    assert got == expected, (host._up, pattern._up, active, colors)
                     for anchor in [None, *range(n)]:
                         want = any(anchor is None or anchor in c for c in expected)
                         assert (

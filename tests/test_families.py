@@ -10,23 +10,19 @@ from hypothesis import strategies as st
 from rainbowposet import (
     BadParams,
     CapExceeded,
-    PreconditionViolated,
+    Coloring,
     SetFamily,
     antichain,
     are_isomorphic,
     chain,
-    check_klym,
-    check_lubm,
-    check_stab,
     complete_multilevel,
     family_from_text,
     family_poset,
     family_to_text,
     greedy_pattern_free_family,
     harp,
-    is_complete_multipartite,
-    is_k_sperner,
-    iter_antichain_families,
+    has_rainbow_copy,
+    height,
     la_rainbow_star,
     la_star,
     lubell_mass,
@@ -78,24 +74,12 @@ class TestBasics:
 
 
 class TestSperner:
-    def test_k_sperner(self):
-        assert is_k_sperner(middle_layers(5, 2), 2)
-        ch = SetFamily.from_sets(4, [[], [1], [1, 2]])
-        assert not is_k_sperner(ch, 2)
-        assert is_k_sperner(ch, 3)
-
-    def test_klym(self):
-        assert check_klym(middle_layers(5, 2), 2)
-        for f in iter_antichain_families(3):
-            assert check_klym(f, 1)
-
     def test_mass_at_most_height_exhaustive_b4(self):
         # every family of the 4-cube: mass bounded by its longest chain
         from fractions import Fraction
         from math import comb
 
         weight = [Fraction(1, comb(4, m.bit_count())) for m in range(16)]
-        from rainbowposet.families import family_height
 
         for bits in range(1 << 16):
             masks = []
@@ -104,59 +88,8 @@ class TestSperner:
                 low = rest & -rest
                 masks.append(low.bit_length() - 1)
                 rest ^= low
-            fam = SetFamily(4, tuple(masks))
-            assert sum((weight[m] for m in masks), Fraction(0)) <= family_height(fam)
-
-    def test_lubm(self):
-        full = middle_layers(4, 1)
-        assert len(full) == lubell_mass(full) * 6
-        assert check_lubm(SetFamily.from_masks(4, [0]))
-        rng = random.Random(2)
-        for _ in range(1000):
-            f = SetFamily.from_masks(6, rng.sample(range(64), rng.randrange(0, 20)))
-            assert check_lubm(f)
-
-    def test_stab_equality_case(self):
-        f = SetFamily.from_masks(4, [0])
-        assert check_stab(f, 1, 0)
-        assert sigma(4, 1) - Fraction(6, 1) + 1 == 1
-
-    def test_stab_preconditions(self):
-        tall = SetFamily.from_sets(5, [[1], [1, 2], [1, 2, 3]])
-        with pytest.raises(PreconditionViolated):
-            check_stab(tall, 1, 1)
-        with pytest.raises(PreconditionViolated):
-            check_stab(SetFamily.from_masks(4, [0]), 1, 2)
-
-    def test_stab_sampled(self):
-        rng = random.Random(9)
-        done = 0
-        while done < 1000:
-            masks = rng.sample(range(64), rng.randrange(1, 25))
-            f = SetFamily.from_masks(6, masks)
-            if not is_k_sperner(f, 2):
-                continue
-            small = [m.bit_count() for m in masks if m.bit_count() < 3]
-            if not small:
-                continue
-            assert check_stab(f, 2, small[0])
-            done += 1
-
-
-class TestMultipartite:
-    def test_examples(self):
-        assert is_complete_multipartite(middle_layers(4, 1))
-        assert is_complete_multipartite(
-            SetFamily.from_sets(3, [[], [1], [2], [1, 2, 3]])
-        )
-        assert not is_complete_multipartite(
-            SetFamily.from_sets(3, [[3], [1], [1, 2]])
-        )
-
-    @settings(max_examples=120, deadline=None)
-    @given(b4_families)
-    def test_detections_cross_check(self, f):
-        is_complete_multipartite(f)  # raises if the two detections disagree
+            fam = family_poset(SetFamily(4, tuple(masks)))
+            assert sum((weight[m] for m in masks), Fraction(0)) <= height(fam)
 
 
 class TestMinMax:
@@ -213,7 +146,7 @@ class TestExtremalSearches:
         assert la_rainbow_star(2, chain(2)).value == 2
         res = la_rainbow_star(4, antichain(2))
         assert res.value == sigma(4, 1) + 2 == 8
-        from rainbowposet import has_rainbow_copy, is_proper
+        from rainbowposet import is_proper
 
         p = family_poset(res.witness)
         assert is_proper(p, res.coloring)
@@ -232,6 +165,8 @@ class TestExtremalSearches:
             max_mass_pattern_free_with_extremes(3, empty)
         with pytest.raises(BadParams):
             la_rainbow_star(3, empty)
+        with pytest.raises(BadParams):
+            greedy_pattern_free_family(3, empty, random.Random(0))
 
     def test_mass_maximum_with_extremes(self):
         best, witness = max_mass_pattern_free_with_extremes(4, harp(2))
@@ -239,12 +174,12 @@ class TestExtremalSearches:
         assert 0 in witness.sets and 15 in witness.sets
 
     def test_greedy_families_are_pattern_free(self):
-        from rainbowposet import contains_induced
-
+        # one color per set: a rainbow copy is any induced copy
         rng = random.Random(0)
         for _ in range(20):
             fam = greedy_pattern_free_family(4, harp(2), rng)
-            assert not contains_induced(family_poset(fam), harp(2))
+            distinct = Coloring(tuple(range(len(fam.sets))))
+            assert not has_rainbow_copy(family_poset(fam), distinct, harp(2))
 
 
 class TestLayers:

@@ -19,7 +19,6 @@ from rainbowposet import (
     diamond,
     disjoint_sum,
     family_poset,
-    find_rainbow_copy,
     harp,
     has_rainbow_copy,
     is_minimal_forcing,
@@ -80,25 +79,16 @@ class TestRainbowCopies:
     def test_forced_in_organ2(self):
         o2, a2 = organ(2), antichain(2)
         for c in proper_colorings(o2):
-            assert find_rainbow_copy(o2, c, a2) is not None
+            assert has_rainbow_copy(o2, c, a2)
 
     def test_monochromatic_antichain(self):
-        assert find_rainbow_copy(antichain(2), Coloring((0, 0)), antichain(2)) is None
+        assert not has_rainbow_copy(antichain(2), Coloring((0, 0)), antichain(2))
 
     def test_middle_layers_chain_copy(self):
         fam = middle_layers(4, 2)
         p = family_poset(fam)
         sizes = Coloring.from_values([m.bit_count() for m in fam.sets])
-        assert find_rainbow_copy(p, sizes, chain(2)) is not None
-
-    def test_lexicographically_least(self):
-        p = chain(4)
-        c = Coloring((0, 1, 2, 3))
-        assert find_rainbow_copy(p, c, chain(2)) == (0, 1)
-
-    def test_improper_coloring_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            find_rainbow_copy(chain(2), Coloring((0,) * 2), chain(2))
+        assert has_rainbow_copy(p, sizes, chain(2))
 
 
 class TestRefutation:

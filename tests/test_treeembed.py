@@ -20,7 +20,7 @@ from rainbowposet import (
     embed_downtree,
     embed_downtree_on_host,
     embed_universal,
-    find_rainbow_copy,
+    has_rainbow_copy,
     is_proper,
     is_tree_poset,
     make_poset,
@@ -141,14 +141,14 @@ class TestEmbedDowntree:
             cert = embed_downtree(pattern, unusable, host, coloring)
             assert verify_certificate(host, coloring, pattern, cert)
 
-    def test_certificate_consistent_with_find_rainbow_copy(self):
+    def test_certificate_consistent_with_has_rainbow_copy(self):
         rng = random.Random(3)
         host = downtree(3, 3)
         for _ in range(20):
             coloring = random_proper_coloring(host, rng)
             cert = embed_downtree(chain(2), set(), host, coloring)
             assert verify_certificate(host, coloring, chain(2), cert)
-            assert find_rainbow_copy(host, coloring, chain(2)) is not None
+            assert has_rainbow_copy(host, coloring, chain(2))
 
 
 class TestVerifyCertificate:
