@@ -236,6 +236,8 @@ def la_star(n: int, patterns) -> LaResult:
     """Exact maximum size of a family avoiding induced copies of every
     pattern, with the lexicographically least witness. Exhaustive over all
     families of the cube; n <= 4."""
+    if n < 0:
+        raise BadParams(f"ground set size n={n} is negative")
     if n > LA_STAR_CAP:
         raise CapExceeded(f"exhaustive la_star is limited to n <= {LA_STAR_CAP}")
     total = 1 << n
@@ -253,6 +255,8 @@ def la_rainbow_star(n: int, pattern: Poset) -> LaResult:
     predicate "the grown family does not rainbow-force the pattern".
     The witness is the first largest family in include-first order over
     increasing masks."""
+    if n < 0:
+        raise BadParams(f"ground set size n={n} is negative")
     if n > LA_STAR_CAP:
         raise CapExceeded(f"exhaustive la_rainbow_star is limited to n <= {LA_STAR_CAP}")
     if pattern.n == 0:
@@ -277,6 +281,8 @@ def la_star_bracket(n: int, patterns, node_budget: int = BRACKET_NODE_BUDGET):
     """Best-effort bracketing of the pattern-free maximum for ground sets
     one past the exhaustive cap: a budgeted include-first search returns
     (lower, upper); the bounds coincide when the budget sufficed."""
+    if n < 0:
+        raise BadParams(f"ground set size n={n} is negative")
     if n > LA_STAR_CAP + 1:
         raise CapExceeded("bracket mode reaches one past the exhaustive cap")
     total = 1 << n

@@ -19,7 +19,7 @@ from typing import Optional
 from .constructions import UniversalTree
 from .errors import BadParams, NotATreePoset, PreconditionViolated
 from .forcing import Coloring, is_proper
-from .poset import Poset, is_tree_poset, make_poset, rank_partition
+from .poset import Poset, _bits, is_tree_poset, make_poset, rank_partition
 
 
 # --- tree classification -----------------------------------------------------
@@ -35,9 +35,6 @@ class TreeMeta:
     side: tuple  # "base" | "down" | "up"
     orig: tuple  # originator element, None for the base
     blocks: dict  # owner element -> tuple(owner, members...) in index order
-
-    def block_of(self, owner):
-        return self.blocks.get(owner, (owner,))
 
 
 def classify_tree(t: Poset, base: Optional[int] = None) -> TreeMeta:
@@ -63,11 +60,7 @@ def classify_tree(t: Poset, base: Optional[int] = None) -> TreeMeta:
         d += 1
         nxt = []
         for x in frontier:
-            rest = adj[x]
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                rest ^= low
+            for y in _bits(adj[x]):
                 if dist[y] < 0:
                     dist[y] = d
                     nxt.append(y)
@@ -153,36 +146,12 @@ def _blocked_below(host, v: int, avoid) -> int:
     return sum(1 for c in avoid if host.has_color_below(v, c))
 
 
-def _read_downtree(p: Poset, orientation: str, what: str):
-    """(root, children, down rows) of p read as a downtree: 'down' reads p
-    as is, 'up' upside down. The root is the unique maximum in that
-    orientation; children[x] lists the elements x covers in index order,
-    and every element but the root is covered by exactly one element."""
-    up = p._up if orientation == "down" else p._down
-    down = p._down if orientation == "down" else p._up
-    roots = [x for x in range(p.n) if not up[x]]
-    if len(roots) != 1:
-        raise PreconditionViolated(f"{what} needs a unique extreme element")
-    kids = [[] for _ in range(p.n)]
-    for x in range(p.n):
-        rest = down[x]
-        while rest:
-            low = rest & -rest
-            y = low.bit_length() - 1
-            rest ^= low
-            if not down[x] & up[y]:  # nothing strictly between: a cover
-                kids[x].append(y)
-    if sorted(y for ys in kids for y in ys) != [x for x in range(p.n) if x != roots[0]]:
-        raise PreconditionViolated(f"{what} is not a downtree")
-    return roots[0], [tuple(k) for k in kids], down
-
-
 class CompleteDowntreeHost:
     """Complete k-ary downtree of height h with colored nodes, in
     breadth-first layout: node 0 is the unique maximum, the children of v
     are k*v+1 .. k*v+k. Layout arithmetic stands in for a Poset, so hosts
-    too large to build as one can be fuzzed; a poset host is relabeled
-    into this layout by `_breadth_first_host`.
+    too large to build as one can be fuzzed. `universal_tree` builds its
+    core and every region in this layout, so they are read in place.
 
     This is the tree-host contract the embedders read:
       k, h                   arity and height (vertices on a root-leaf path);
@@ -252,29 +221,6 @@ class CompleteDowntreeHost:
         return None
 
 
-def _breadth_first_host(p: Poset, colors, orientation: str = "down", arity=None):
-    """(host, order): the poset p, read as a downtree in the given
-    orientation, relabeled into a CompleteDowntreeHost. order lists the
-    elements of p breadth-first, children in index order, so host node v is
-    element order[v] of p and carries its color. A single element takes
-    the required arity, or 1."""
-    root, kids, _ = _read_downtree(p, orientation, "host tree")
-    order = [root]
-    depth = [0] * p.n
-    for x in order:  # grows while it is read: a breadth-first listing
-        for y in kids[x]:
-            depth[y] = depth[x] + 1
-            order.append(y)
-    arities = {len(kids[x]) for x in order if kids[x]}
-    if len(arities) > 1 or len({depth[x] for x in order if not kids[x]}) != 1:
-        raise PreconditionViolated("host is not a complete k-ary tree")
-    k = arities.pop() if arities else (arity if arity is not None else 1)
-    if arity is not None and k != arity:
-        raise PreconditionViolated(f"host arity {k} differs from required {arity}")
-    host = CompleteDowntreeHost(k, depth[order[-1]] + 1, [colors[x] for x in order])
-    return host, order
-
-
 def random_downtree_coloring(k: int, h: int, rng):
     """Proper coloring of the complete k-ary downtree of height h: elements
     in random order, color uniform over feasible existing colors plus one
@@ -321,12 +267,23 @@ def random_downtree_coloring(k: int, h: int, rng):
 
 def _pattern_downtree(t: Poset, orientation: str = "down"):
     """(root, children lists, subtree sizes) of a pattern tree read as a
-    downtree in the given orientation."""
+    downtree: 'down' reads t as is, 'up' upside down. The root is the unique
+    maximum in that orientation; children[x] lists the elements x covers in
+    index order, and every element but the root is covered by exactly one
+    element."""
     if not is_tree_poset(t):
         raise NotATreePoset("pattern must be a tree poset")
-    root, kids, down = _read_downtree(t, orientation, "pattern")
+    up = t._up if orientation == "down" else t._down
+    down = t._down if orientation == "down" else t._up
+    roots = [x for x in range(t.n) if not up[x]]
+    if len(roots) != 1:
+        raise PreconditionViolated("pattern needs a unique extreme element")
+    # y is covered by x when nothing lies strictly between them
+    kids = [tuple(y for y in _bits(down[x]) if not down[x] & up[y]) for x in range(t.n)]
+    if sorted(y for ys in kids for y in ys) != [x for x in range(t.n) if x != roots[0]]:
+        raise PreconditionViolated("pattern is not a downtree")
     sizes = [down[x].bit_count() + 1 for x in range(t.n)]
-    return root, kids, sizes
+    return roots[0], kids, sizes
 
 
 def _embed_block(root, children_of, sizes, host, avoid):
@@ -391,28 +348,6 @@ def check_block_properties(host, root, sizes, unusable, image, consumed):
             raise AssertionError("rank bound violated at a non-root image")
 
 
-def embed_downtree(
-    t: Poset, unusable, host: Poset, coloring: Coloring
-) -> EmbeddingCertificate:
-    """Rainbow copy of the downtree t in a properly colored complete k-ary
-    downtree host of height k, avoiding the unusable colors; requires
-    k >= |t| + |unusable|. The host is relabeled breadth-first, children in
-    index order, so the root goes to the first usable element in that
-    order: a highest-ranked usable one, though not always the smallest
-    index on its level when the host is not labeled breadth-first. The
-    certificate is re-checked on the poset itself by verify_certificate."""
-    if not is_proper(host, coloring):
-        raise PreconditionViolated("host coloring must be proper")
-    tree, order = _breadth_first_host(host, coloring.colors)
-    on_tree = embed_downtree_on_host(t, unusable, tree)
-    cert = EmbeddingCertificate(
-        mapping=tuple(order[v] for v in on_tree.mapping), colors=on_tree.colors
-    )
-    if not verify_certificate(host, coloring, t, cert):
-        raise AssertionError("embedding produced an invalid certificate")
-    return cert
-
-
 def embed_downtree_on_host(t: Poset, unusable, host) -> EmbeddingCertificate:
     """Rainbow copy of the downtree t in a CompleteDowntreeHost of height
     equal to its arity k, avoiding the unusable colors; requires
@@ -462,13 +397,16 @@ def embed_universal(
     host = ut.poset
     mapping = {}
 
-    def embed_region(block, region_elems, orientation, avoid):
-        view, order = _breadth_first_host(
-            host.restrict(region_elems),
-            [coloring.colors[e] for e in region_elems],
-            orientation,
-            arity=ut.k,
-        )
+    def embed_region(block, region, orientation, avoid):
+        # universal_tree lists a region breadth-first, children in creation
+        # order, so region[v] is node v of a complete k-ary downtree; a
+        # length 1, 1+k, 1+k+k^2, ... gives its height, any other fails to
+        # cover the host
+        h = size = 1
+        while size < len(region):
+            size = size * ut.k + 1
+            h += 1
+        view = CompleteDowntreeHost(ut.k, h, [coloring.colors[e] for e in region])
         blk = t.restrict(block)
         root, kids, sizes = _pattern_downtree(blk, orientation)
         blocked_here = _blocked_below(view, 0, avoid)
@@ -478,11 +416,9 @@ def embed_universal(
                 "bookkeeping for appended components does not close"
             )
         image_local = _embed_block(root, kids, sizes, view, avoid)
-        return {block[bi]: region_elems[order[v]] for bi, v in image_local.items()}
+        return {block[bi]: region[v] for bi, v in image_local.items()}
 
-    base_block = meta.block_of(meta.base)
-    core = tuple(sorted(ut.core))
-    got = embed_region(base_block, core, "down", set())
+    got = embed_region(meta.blocks[meta.base], ut.core, "down", set())
     if got[meta.base] != ut.center:
         raise AssertionError("base did not land on the universal tree center")
     mapping.update(got)
@@ -490,7 +426,7 @@ def embed_universal(
     for z in sorted(range(t.n), key=lambda z: (meta.dist[z], z)):
         if z == meta.base:
             continue
-        block = meta.block_of(z)
+        block = meta.blocks[z]
         if len(block) == 1:
             continue
         x_z = mapping[z]
@@ -499,7 +435,6 @@ def embed_universal(
             raise PreconditionViolated(
                 f"no appended region at host element {x_z} for block owner {z}"
             )
-        region_elems = tuple(sorted(region))
         if meta.side[z] == "down":
             orientation = "up"
 
@@ -515,7 +450,7 @@ def embed_universal(
         avoid = {
             coloring.colors[img] for img in mapping.values() if not separated(img)
         }
-        got = embed_region(block, region_elems, orientation, avoid)
+        got = embed_region(block, region, orientation, avoid)
         if got[z] != mapping[z]:
             raise AssertionError("region embedding moved the block owner")
         for el, img in got.items():

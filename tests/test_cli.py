@@ -223,6 +223,22 @@ def test_empty_pattern(tmp_path, capsys):
         assert code == 2 and out == ""
 
 
+def test_negative_ground_set_is_a_usage_error(tmp_path, capsys):
+    patt = tmp_path / "chain2.poset"
+    run_cli(capsys, "construct", "chain", "2", "-o", str(patt))
+    for argv in (
+        ["la-star", "-1", "--pattern", str(patt)],
+        ["la-star", "-1", "--bracket", "--pattern", str(patt)],
+        ["lar-star", "-1", str(patt)],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "n=-1" in lines[0], lines
+
+
 INPUT_TOKENS = [
     "poset n=0", "poset n=3", "poset n=5", "poset n=", "poset n=x", "poset n=-1",
     "poset n=5000", "poset", "0 < 1", "1 < 2", "2 < 0", "0 < 0", "4 < 7", "a < b",
@@ -242,7 +258,19 @@ def test_text_inputs_exit_0_or_one_error_line(tmp_path, capsys, tokens, sep):
     # rejected with exit 2 and a single "error: " line
     path = tmp_path / "input.txt"
     path.write_text(sep.join(tokens) + "\n")
-    for argv in (["lubell", str(path)], ["forces", str(path), str(path)]):
+    f = str(path)
+    for argv in (
+        ["lubell", f],
+        ["forces", f, f],
+        ["minimal", f, f],
+        ["search-m", f, "--max-size", "4"],
+        ["m-value", f, "--cap", "5"],
+        ["la-star", "2", "--pattern", f],
+        ["lar-star", "2", f],
+        ["minmax", f],
+        ["embed", "--tree", f],
+        ["construct", "blowup", f, "0,1,2"],
+    ):
         code = main(argv)
         err = capsys.readouterr().err
         assert code in (0, 2), (argv[0], tokens, err)
@@ -293,9 +321,9 @@ for argv in json.loads(sys.argv[1]):
     print(json.dumps([argv[0], code, out.getvalue()]))
 """
 
-# sha256 of the driver lines of the embed commands below, computed when
-# poset regions were still read by a separate poset-backed host class:
-# relabeling them breadth-first left every certificate unchanged.
+# sha256 of the driver lines of the embed commands below: the printed
+# certificates pin where the universal-tree embedder puts every pattern
+# element, so a change that moves one image shows here.
 EMBED_DIGEST = "d6211f925d22661b66b0c9c7c5ae0b1b1ce0bdfd892ac9698e57e68d9111d4e1"
 
 

@@ -1,5 +1,6 @@
 """Tree classification, the downtree embedder and the universal embedder."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -17,11 +18,9 @@ from rainbowposet import (
     diamond,
     downtree,
     downtree_fuzz_case,
-    embed_downtree,
     embed_downtree_on_host,
     embed_universal,
     has_rainbow_copy,
-    is_proper,
     is_tree_poset,
     make_poset,
     posets_of_size,
@@ -34,11 +33,25 @@ from rainbowposet import (
     verify_certificate,
     wedge,
 )
-from rainbowposet.treeembed import EmbeddingCertificate, _breadth_first_host
+from rainbowposet.treeembed import EmbeddingCertificate
+
+# sha256 of the certificates of criterion 7's quick order-3 sweep: 100
+# seeded colorings of universal_tree(3), each tree poset on 3 elements.
+# It pins every image and color the universal-tree embedder picks.
+UNIVERSAL_DIGEST = "3ee0ca591d1cf3cf5819a072d23f81aabb965e6190b06793ae77809c058e5e99"
 
 
 def tree_posets_on(n):
     return [p for p in posets_of_size(n) if is_tree_poset(p)]
+
+
+def embed_on_downtree(t, unusable, k, coloring):
+    """embed_downtree_on_host over the colors of downtree(k, k); that
+    builder labels breadth-first, so node v is element v and the
+    certificate re-checks on the poset."""
+    cert = embed_downtree_on_host(t, unusable, CompleteDowntreeHost(k, k, coloring.colors))
+    assert verify_certificate(downtree(k, k), coloring, t, cert)
+    return cert
 
 
 class TestClassify:
@@ -90,42 +103,27 @@ class TestEmbedDowntree:
 
     def test_single_element_to_root(self):
         host = downtree(3, 3)
-        cert = embed_downtree(chain(1), set(), host, self.rank_coloring(host))
+        cert = embed_on_downtree(chain(1), set(), 3, self.rank_coloring(host))
         assert not host.up_mask(cert.mapping[0])  # the root
 
     def test_single_element_avoiding_root_color(self):
         host = downtree(3, 3)
         coloring = self.rank_coloring(host)
         root_color = coloring.colors[host.maximal_elements()[0]]
-        cert = embed_downtree(chain(1), {root_color}, host, coloring)
+        cert = embed_on_downtree(chain(1), {root_color}, 3, coloring)
         ranks = rank_partition(host).rank
         # highest-ranked element with a usable color
         assert ranks[cert.mapping[0]] == 2
 
     def test_small_tree_into_rank_colored_host(self):
         host = downtree(3, 3)
-        cert = embed_downtree(downtree(2, 2), set(), host, self.rank_coloring(host))
+        cert = embed_on_downtree(downtree(2, 2), set(), 3, self.rank_coloring(host))
         assert len(set(cert.colors)) == 3
 
     def test_rejects_short_host(self):
         host = downtree(2, 2)
         with pytest.raises(PreconditionViolated):
-            embed_downtree(downtree(2, 2), {99}, host, self.rank_coloring(host))
-
-    def test_rejects_non_complete_host(self):
-        host = chain(3)
-        with pytest.raises(PreconditionViolated):
-            embed_downtree(chain(2), set(), host, Coloring((0, 1, 2)))
-
-    def test_rejects_host_with_shared_children(self):
-        # three middles all cover the same three leaves: complete 3-ary by
-        # arity and leaf depth, but not a tree
-        covers = [(m, 0) for m in (1, 2, 3)]
-        covers += [(leaf, m) for m in (1, 2, 3) for leaf in (4, 5, 6)]
-        host = make_poset(7, covers)
-        coloring = self.rank_coloring(host)
-        with pytest.raises(PreconditionViolated, match="host tree is not a downtree"):
-            embed_downtree(wedge(), set(), host, coloring)
+            embed_on_downtree(downtree(2, 2), {99}, 2, self.rank_coloring(host))
 
     def test_never_fails_under_precondition(self):
         rng = random.Random(42)
@@ -138,16 +136,14 @@ class TestEmbedDowntree:
             coloring = random_proper_coloring(host, rng)
             palette = coloring.num_colors
             unusable = set(rng.sample(range(palette), min(u_ct, palette)))
-            cert = embed_downtree(pattern, unusable, host, coloring)
-            assert verify_certificate(host, coloring, pattern, cert)
+            embed_on_downtree(pattern, unusable, k, coloring)
 
     def test_certificate_consistent_with_has_rainbow_copy(self):
         rng = random.Random(3)
         host = downtree(3, 3)
         for _ in range(20):
             coloring = random_proper_coloring(host, rng)
-            cert = embed_downtree(chain(2), set(), host, coloring)
-            assert verify_certificate(host, coloring, chain(2), cert)
+            embed_on_downtree(chain(2), set(), 3, coloring)
             assert has_rainbow_copy(host, coloring, chain(2))
 
 
@@ -155,10 +151,9 @@ class TestVerifyCertificate:
     def test_tampered_colors_rejected(self):
         host = downtree(2, 2)
         coloring = Coloring((0, 1, 1))
-        cert = embed_downtree(chain(2), set(), host, coloring)
+        cert = embed_on_downtree(chain(2), set(), 2, coloring)
         bad = EmbeddingCertificate(mapping=cert.mapping, colors=(9, 9))
         assert not verify_certificate(host, coloring, chain(2), bad)
-
     def test_incomparable_pair_rejected(self):
         host = downtree(2, 2)
         coloring = Coloring((0, 1, 2))
@@ -192,46 +187,32 @@ class TestArithmeticHost:
 
 
 class TestBreadthFirstHost:
-    """A poset host is relabeled breadth-first, children in index order,
-    into the layout of CompleteDowntreeHost; node v is element order[v]."""
+    """The builders lay trees out as CompleteDowntreeHost reads them:
+    breadth-first, children in index order."""
 
     def test_builders_are_already_breadth_first(self):
+        # node v of the arithmetic host is element region[v]: embed_universal
+        # reads the core and every region in place on this fact
+        cases = []
         for k in range(1, 5):
             host = downtree(k, k)
-            _, order = _breadth_first_host(host, [0] * host.n)
-            assert order == list(range(host.n))
+            cases.append((host, k, tuple(range(host.n)), "down"))
         for k in range(1, 4):
             ut = universal_tree(k)
-            regions = [(tuple(sorted(ut.core)), "down")] + [
-                (tuple(sorted(r)), "up" if ut.side[e] == "down" else "down")
-                for e, r in ut.regions.items()
-            ]
-            for elems, orientation in regions:
-                sub = ut.poset.restrict(elems)
-                host, order = _breadth_first_host(sub, [0] * sub.n, orientation, ut.k)
-                assert order == list(range(sub.n))
-                assert host.k == ut.k and host.size == sub.n
-
-    def test_permuted_host_maps_back(self):
-        base = downtree(3, 3)
-        rng = random.Random("permuted-host")
-        for _ in range(50):
-            perm = list(range(base.n))
-            rng.shuffle(perm)
-            host = make_poset(base.n, [(perm[a], perm[b]) for a, b in base.cover_pairs()])
-            tn = rng.randint(1, 3)
-            pattern = make_poset(tn, [(i, rng.randrange(i)) for i in range(1, tn)])
-            coloring = random_proper_coloring(host, rng)
-            palette = coloring.num_colors
-            u_ct = rng.randint(0, 3 - tn)
-            unusable = set(rng.sample(range(palette + 2), min(u_ct, palette + 2)))
-            cert = embed_downtree(pattern, unusable, host, coloring)
-            assert verify_certificate(host, coloring, pattern, cert)
-            assert not set(cert.colors) & unusable
-
-    def test_rejects_wrong_arity(self):
-        with pytest.raises(PreconditionViolated, match="host arity 2 differs from required 3"):
-            _breadth_first_host(downtree(2, 2), [0, 1, 1], arity=3)
+            cases.append((ut.poset, k, ut.core, "down"))
+            for e, region in ut.regions.items():
+                cases.append((ut.poset, k, region, "up" if ut.side[e] == "down" else "down"))
+        for poset, k, region, orientation in cases:
+            size = len(region)
+            h = next(h for h in range(1, size + 1) if sum(k**d for d in range(h)) == size)
+            tree = CompleteDowntreeHost(k, h, [0] * size)
+            for a in range(size):
+                for b in range(size):
+                    if a == b:
+                        continue
+                    x, y = region[a], region[b]
+                    below = poset.less(x, y) if orientation == "down" else poset.less(y, x)
+                    assert tree.less(a, b) == below, (k, region, a, b)
 
     def test_cli_does_not_import_numpy(self, src_env):
         code = "import sys, rainbowposet.cli; print('numpy' in sys.modules)"
@@ -247,8 +228,8 @@ class TestBreadthFirstHost:
 
 
 class TestHostAgreement:
-    """downtree(k, k) is labeled breadth-first, so the poset path and the
-    arithmetic path over the same colored tree yield the same certificate."""
+    """downtree(k, k) is labeled breadth-first, so a certificate found on
+    the arithmetic host over its colors is also one on the poset."""
 
     def test_same_certificate_on_both_hosts(self):
         rng = random.Random("host-agreement")
@@ -260,11 +241,8 @@ class TestHostAgreement:
             palette = coloring.num_colors
             u_ct = rng.randint(0, k - tn)
             unusable = set(rng.sample(range(palette + 2), min(u_ct, palette + 2)))
-            on_poset = embed_downtree(pattern, unusable, downtree(k, k), coloring)
-            on_host = embed_downtree_on_host(
-                pattern, unusable, CompleteDowntreeHost(k, k, coloring.colors)
-            )
-            assert on_poset == on_host
+            cert = embed_on_downtree(pattern, unusable, k, coloring)
+            assert not set(cert.colors) & unusable
 
 
 class TestEmbedUniversal:
@@ -292,6 +270,16 @@ class TestEmbedUniversal:
             for t in trees:
                 cert = embed_universal(t, ut, coloring)
                 assert verify_certificate(ut.poset, coloring, t, cert)
+
+    def test_order3_sweep_is_pinned(self):
+        ut = universal_tree(3)
+        trees = tree_posets_on(3)
+        certs = []
+        for i in range(100):
+            coloring = random_proper_coloring(ut.poset, random.Random(f"t3-{i}"))
+            certs.extend(embed_universal(t, ut, coloring) for t in trees)
+        digest = hashlib.sha256(repr([(c.mapping, c.colors) for c in certs]).encode())
+        assert digest.hexdigest() == UNIVERSAL_DIGEST
 
     def test_rejects_oversized_pattern(self):
         with pytest.raises(PreconditionViolated):
