@@ -32,31 +32,35 @@ def order_ideals(p: Poset):
     return out
 
 
-@lru_cache(maxsize=None)
 def posets_of_size(n: int, cap: int = DEFAULT_CAP):
     """One canonical representative per isomorphism class, sorted by key.
-    Each representative carries its canonical key.
+    Each representative carries its canonical key. The classes are cached
+    by n alone, so every cap shares one tuple per size."""
+    if n > cap:
+        raise CapExceeded(f"enumeration requested for n={n} above cap {cap}")
+    return _posets_of_size(n)
 
-    Grown by extension: every poset on n elements arises from one on n-1 by
-    adding a new maximal element whose down-set is an order ideal. A
-    candidate is keyed only if its new element n-1 has the largest value,
-    among the maximal elements, of the invariant
-    (|down(x)|, sum of |down(y)| over y < x). No class is lost: take a
+
+@lru_cache(maxsize=None)
+def _posets_of_size(n: int):
+    """The classes on n elements, grown by extension: every poset on n
+    elements arises from one on n-1 by adding a new maximal element whose
+    down-set is an order ideal. A candidate is keyed only if its new
+    element n-1 has the largest value, among the maximal elements, of the
+    invariant (|down(x)|, sum of |down(y)| over y < x). No class is lost: take a
     maximal element x of the class with the largest invariant. Removing x
     leaves a poset isomorphic to some representative Q, and the isomorphism
     maps down(x) to an order ideal of Q. Removing a maximal element changes
     no other down-set, so the candidate built from Q and that ideal is
     isomorphic to the class with n-1 in the place of x, and it is accepted.
     """
-    if n > cap:
-        raise CapExceeded(f"enumeration requested for n={n} above cap {cap}")
     if n < 1:
         raise CapExceeded("enumeration starts at n=1")
     if n == 1:
         return (canonical_form(Poset([0])),)
     reps = {}
     top = 1 << (n - 1)
-    for q in posets_of_size(n - 1, cap):
+    for q in _posets_of_size(n - 1):
         below = [row.bit_count() for row in q._down]
         rivals = [
             (m, (below[m], sum(below[y] for y in _bits(q._down[m]))))

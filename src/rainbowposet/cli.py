@@ -2,8 +2,9 @@
 
 Subcommands cover construction, catalog dumps, forcing queries, minimal
 forcer searches, tree embeddings, Boolean-lattice statistics and the
-verification suite. JSON payloads carry a versioned schema field; output
-is byte-identical for identical configuration (timings are opt-in).
+verification suite. Each JSON subcommand returns its payload, and one
+runner prints it with a versioned schema field and, under --timings, the
+elapsed time; output is byte-identical for identical configuration.
 
 Exit codes: 0 success/verified, 1 a verified property failed, 2 usage
 error, 3 search budget exceeded, 4 internal error (an unexpected exception).
@@ -41,7 +42,7 @@ from .forcing import (
     search_M,
 )
 from .poset import canonical_key, poset_from_text, poset_to_text
-from .treeembed import embed_universal, verify_certificate
+from .treeembed import check_tree_pattern, embed_universal, verify_certificate
 from .verify import run_suite
 
 SCHEMA = 1
@@ -76,18 +77,20 @@ def _read_family(path):
         return family_from_text(fh.read())
 
 
-def _emit_json(payload, args):
-    payload = {"schema": SCHEMA, **payload}
-    if args.timings and "_elapsed_ms" in payload:
-        payload["elapsed_ms"] = payload.pop("_elapsed_ms")
-    else:
-        payload.pop("_elapsed_ms", None)
+def _run_json(args):
+    """Run the subcommand's `cmd` and print its payload with the schema and,
+    under --timings, the elapsed milliseconds."""
+    start = time.monotonic()
+    payload = {"schema": SCHEMA, **args.cmd(args)}
+    if args.timings:
+        payload["elapsed_ms"] = int((time.monotonic() - start) * 1000)
     if args.text:
         for key in sorted(payload):
             if key != "schema":
                 print(f"{key}: {json.dumps(payload[key], sort_keys=True)}")
     else:
         print(json.dumps(payload, sort_keys=True))
+    return 0
 
 
 def _fraction_str(x: Fraction) -> str:
@@ -119,42 +122,29 @@ def cmd_construct(args):
 def cmd_gen(args):
     cap = max(args.max_size, DEFAULT_CAP)
     manifest = dump_catalog(args.out, args.max_size, cap=cap)
-    _emit_json({"counts": manifest["counts"], "directory": args.out}, args)
-    return 0
+    return {"counts": manifest["counts"], "directory": args.out}
 
 
 def cmd_forces(args):
     host = _read_poset(args.host)
     pattern = _read_poset(args.pattern)
-    start = time.monotonic()
     verdict = rainbow_forces(host, pattern, budget_s=args.budget)
-    payload = {
-        "forces": verdict.forces,
-        "_elapsed_ms": int((time.monotonic() - start) * 1000),
-    }
+    payload = {"forces": verdict.forces}
     if verdict.refutation is not None:
         payload["refutation"] = list(verdict.refutation.colors)
-    _emit_json(payload, args)
-    return 0
+    return payload
 
 
 def cmd_minimal(args):
     host = _read_poset(args.host)
     pattern = _read_poset(args.pattern)
-    start = time.monotonic()
-    minimal = is_minimal_forcing(host, pattern, budget_s=args.budget)
-    _emit_json(
-        {"minimal": minimal, "_elapsed_ms": int((time.monotonic() - start) * 1000)},
-        args,
-    )
-    return 0
+    return {"minimal": is_minimal_forcing(host, pattern, budget_s=args.budget)}
 
 
 def cmd_search_m(args):
     pattern = _read_poset(args.pattern)
-    start = time.monotonic()
     found = search_M(pattern, args.max_size, cap=max(args.max_size, DEFAULT_CAP))
-    payload = {
+    return {
         "count": len(found),
         "max_size": args.max_size,  # minimality certified within this bound only
         "forcers": [
@@ -165,31 +155,22 @@ def cmd_search_m(args):
             }
             for p in found
         ],
-        "_elapsed_ms": int((time.monotonic() - start) * 1000),
     }
-    _emit_json(payload, args)
-    return 0
 
 
 def cmd_m_value(args):
     pattern = _read_poset(args.pattern)
-    start = time.monotonic()
     mv = m_value(pattern, cap=args.cap)
-    payload = {
-        "lower": mv.lower,
-        "upper": mv.upper,
-        "exact": mv.exact,
-        "_elapsed_ms": int((time.monotonic() - start) * 1000),
-    }
+    payload = {"lower": mv.lower, "upper": mv.upper, "exact": mv.exact}
     if mv.value is not None:
         payload["value"] = mv.value
-    _emit_json(payload, args)
-    return 0
+    return payload
 
 
 def cmd_embed(args):
     tree = _read_poset(args.tree)
     k = args.k if args.k else tree.n
+    check_tree_pattern(tree, k)  # before the host, which may exceed the cap
     ut = constructions.universal_tree(k)
     if args.exhaustive:
         total = 0
@@ -214,72 +195,42 @@ def cmd_embed(args):
 
 def cmd_lubell(args):
     fam = _read_family(args.family)
-    _emit_json({"value": _fraction_str(lubell_mass(fam))}, args)
-    return 0
+    return {"value": _fraction_str(lubell_mass(fam))}
 
 
 def cmd_sigma(args):
-    _emit_json({"value": sigma(args.n, args.k)}, args)
-    return 0
+    return {"value": sigma(args.n, args.k)}
 
 
 def cmd_la_star(args):
     patterns = [_read_poset(p) for p in args.patterns]
-    start = time.monotonic()
     if args.bracket:
         lower, upper = la_star_bracket(args.n, patterns, node_budget=args.node_budget)
-        _emit_json(
-            {
-                "lower": lower,
-                "upper": upper,
-                "exact": lower == upper,
-                "_elapsed_ms": int((time.monotonic() - start) * 1000),
-            },
-            args,
-        )
-        return 0
+        return {"lower": lower, "upper": upper, "exact": lower == upper}
     res = la_star(args.n, patterns)
-    _emit_json(
-        {
-            "value": res.value,
-            "witness": [sorted(s) for s in res.witness.members()],
-            "_elapsed_ms": int((time.monotonic() - start) * 1000),
-        },
-        args,
-    )
-    return 0
+    return {"value": res.value, "witness": [sorted(s) for s in res.witness.members()]}
 
 
 def cmd_lar_star(args):
     pattern = _read_poset(args.pattern)
-    start = time.monotonic()
     res = la_rainbow_star(args.n, pattern)
-    _emit_json(
-        {
-            "value": res.value,
-            "witness": [sorted(s) for s in res.witness.members()],
-            "witness_coloring": list(res.coloring.colors),
-            "_elapsed_ms": int((time.monotonic() - start) * 1000),
-        },
-        args,
-    )
-    return 0
+    return {
+        "value": res.value,
+        "witness": [sorted(s) for s in res.witness.members()],
+        "witness_coloring": list(res.coloring.colors),
+    }
 
 
 def cmd_minmax(args):
     fam = _read_family(args.family)
     rep = minmax_partition(fam)
-    _emit_json(
-        {
-            "mass": _fraction_str(rep.mass),
-            "average": _fraction_str(rep.average),
-            "identity_holds": rep.identity_holds,
-            "two_hit_classes": len(rep.classes),
-            "leftover_chains": rep.leftover_count,
-        },
-        args,
-    )
-    return 0
+    return {
+        "mass": _fraction_str(rep.mass),
+        "average": _fraction_str(rep.average),
+        "identity_holds": rep.identity_holds,
+        "two_hit_classes": len(rep.classes),
+        "leftover_chains": rep.leftover_count,
+    }
 
 
 def cmd_verify(args):
@@ -300,7 +251,9 @@ def build_parser():
         description="Exact rainbow-forcing searches on small posets and cubes",
     )
     parser.add_argument(
-        "--timings", action="store_true", help="include elapsed_ms in JSON output"
+        "--timings",
+        action="store_true",
+        help="include elapsed_ms in every JSON payload; it covers reading the inputs",
     )
     parser.add_argument(
         "--text", action="store_true", help="key:value lines instead of JSON"
@@ -316,29 +269,29 @@ def build_parser():
     p = sub.add_parser("gen", help="dump the poset catalog to a directory")
     p.add_argument("--max-size", type=int, default=DEFAULT_CAP)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_gen)
+    p.set_defaults(fn=_run_json, cmd=cmd_gen)
 
     p = sub.add_parser("forces", help="decide rainbow forcing host vs pattern")
     p.add_argument("host")
     p.add_argument("pattern")
     p.add_argument("--budget", type=float, default=DEFAULT_BUDGET_S)
-    p.set_defaults(fn=cmd_forces)
+    p.set_defaults(fn=_run_json, cmd=cmd_forces)
 
     p = sub.add_parser("minimal", help="decide deletion-minimal forcing")
     p.add_argument("host")
     p.add_argument("pattern")
     p.add_argument("--budget", type=float, default=DEFAULT_BUDGET_S)
-    p.set_defaults(fn=cmd_minimal)
+    p.set_defaults(fn=_run_json, cmd=cmd_minimal)
 
     p = sub.add_parser("search-m", help="all minimal forcers up to a size bound")
     p.add_argument("pattern")
     p.add_argument("--max-size", type=int, required=True)
-    p.set_defaults(fn=cmd_search_m)
+    p.set_defaults(fn=_run_json, cmd=cmd_search_m)
 
     p = sub.add_parser("m-value", help="minimum forcing size (or bracket)")
     p.add_argument("pattern")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.set_defaults(fn=cmd_m_value)
+    p.set_defaults(fn=_run_json, cmd=cmd_m_value)
 
     p = sub.add_parser("embed", help="rainbow-embed a tree into a universal tree")
     p.add_argument("--tree", required=True)
@@ -349,28 +302,28 @@ def build_parser():
 
     p = sub.add_parser("lubell", help="exact mass of a family")
     p.add_argument("family")
-    p.set_defaults(fn=cmd_lubell)
+    p.set_defaults(fn=_run_json, cmd=cmd_lubell)
 
     p = sub.add_parser("sigma", help="sum of the k largest binomials")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.set_defaults(fn=cmd_sigma)
+    p.set_defaults(fn=_run_json, cmd=cmd_sigma)
 
     p = sub.add_parser("la-star", help="largest pattern-free family size")
     p.add_argument("n", type=int)
     p.add_argument("--pattern", dest="patterns", action="append", required=True)
     p.add_argument("--bracket", action="store_true", help="budgeted bounds (n=5)")
     p.add_argument("--node-budget", type=int, default=BRACKET_NODE_BUDGET)
-    p.set_defaults(fn=cmd_la_star)
+    p.set_defaults(fn=_run_json, cmd=cmd_la_star)
 
     p = sub.add_parser("lar-star", help="largest rainbow-refutable family size")
     p.add_argument("n", type=int)
     p.add_argument("pattern")
-    p.set_defaults(fn=cmd_lar_star)
+    p.set_defaults(fn=_run_json, cmd=cmd_lar_star)
 
     p = sub.add_parser("minmax", help="chain statistics of a family")
     p.add_argument("family")
-    p.set_defaults(fn=cmd_minmax)
+    p.set_defaults(fn=_run_json, cmd=cmd_minmax)
 
     p = sub.add_parser("verify-paper", help="run the verification suite")
     tier = p.add_mutually_exclusive_group()

@@ -83,6 +83,8 @@ def lubell_mass(f: SetFamily) -> Fraction:
 
 def sigma(n: int, k: int) -> int:
     """Sum of the k largest binomial coefficients of order n."""
+    if n < 0:
+        raise BadParams(f"ground set size n={n} is negative")
     if not 0 <= k <= n + 1:
         raise BadParams("sigma needs 0 <= k <= n+1")
     base = (n - k) // 2
@@ -232,14 +234,19 @@ def _pattern_free(n, patterns):
     return admits
 
 
+def _check_ground_set(n: int, cap: int, search: str):
+    """Reject a negative n, and an n above the cap of the named search."""
+    if n < 0:
+        raise BadParams(f"ground set size n={n} is negative")
+    if n > cap:
+        raise CapExceeded(f"{search} is limited to n <= {cap}")
+
+
 def la_star(n: int, patterns) -> LaResult:
     """Exact maximum size of a family avoiding induced copies of every
     pattern, with the lexicographically least witness. Exhaustive over all
     families of the cube; n <= 4."""
-    if n < 0:
-        raise BadParams(f"ground set size n={n} is negative")
-    if n > LA_STAR_CAP:
-        raise CapExceeded(f"exhaustive la_star is limited to n <= {LA_STAR_CAP}")
+    _check_ground_set(n, LA_STAR_CAP, "exhaustive la_star")
     total = 1 << n
     best, value, _ = _branch_and_bound(
         range(total), [1] * total, 0, _pattern_free(n, patterns), float("inf")
@@ -255,10 +262,7 @@ def la_rainbow_star(n: int, pattern: Poset) -> LaResult:
     predicate "the grown family does not rainbow-force the pattern".
     The witness is the first largest family in include-first order over
     increasing masks."""
-    if n < 0:
-        raise BadParams(f"ground set size n={n} is negative")
-    if n > LA_STAR_CAP:
-        raise CapExceeded(f"exhaustive la_rainbow_star is limited to n <= {LA_STAR_CAP}")
+    _check_ground_set(n, LA_STAR_CAP, "exhaustive la_rainbow_star")
     if pattern.n == 0:
         raise BadParams("every family rainbow-forces the empty pattern")
     total = 1 << n
@@ -281,10 +285,9 @@ def la_star_bracket(n: int, patterns, node_budget: int = BRACKET_NODE_BUDGET):
     """Best-effort bracketing of the pattern-free maximum for ground sets
     one past the exhaustive cap: a budgeted include-first search returns
     (lower, upper); the bounds coincide when the budget sufficed."""
-    if n < 0:
-        raise BadParams(f"ground set size n={n} is negative")
-    if n > LA_STAR_CAP + 1:
-        raise CapExceeded("bracket mode reaches one past the exhaustive cap")
+    _check_ground_set(n, LA_STAR_CAP + 1, "bracket mode")
+    if node_budget < 0:
+        raise BadParams(f"node_budget={node_budget} is negative")
     total = 1 << n
     _, lower, cut = _branch_and_bound(
         range(total), [1] * total, 0, _pattern_free(n, patterns), node_budget
@@ -325,8 +328,7 @@ def max_mass_pattern_free_with_extremes(n: int, pattern: Poset):
     """Exact maximum Lubell mass over families that contain the empty and
     full sets and avoid induced copies of the pattern; exhaustive branch
     and bound over the remaining masks. Returns (mass, witness)."""
-    if n > 4:
-        raise CapExceeded("exhaustive mass maximization is limited to n <= 4")
+    _check_ground_set(n, 4, "exhaustive mass maximization")
     total = 1 << n
     # Masses scaled by the lcm of the binomials of order n are integers.
     scale = lcm(*(comb(n, k) for k in range(n + 1)))

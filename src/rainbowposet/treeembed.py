@@ -378,6 +378,14 @@ def embed_downtree_on_host(t: Poset, unusable, host) -> EmbeddingCertificate:
 # --- the universal-tree embedder -------------------------------------------------
 
 
+def check_tree_pattern(t: Poset, k: int) -> TreeMeta:
+    """The classification of t, once t is checked to be a tree poset that
+    fits the universal tree of order k."""
+    if t.n > k:
+        raise PreconditionViolated("pattern larger than the universal tree order")
+    return classify_tree(t)
+
+
 def embed_universal(
     t: Poset, ut: UniversalTree, coloring: Coloring
 ) -> EmbeddingCertificate:
@@ -389,11 +397,9 @@ def embed_universal(
     owner's image, blocking exactly the colors of earlier images that
     comparability leaves unconstrained. Any slack violation surfaces as
     PreconditionViolated rather than a wrong certificate."""
-    if t.n > ut.k:
-        raise PreconditionViolated("pattern larger than the universal tree order")
+    meta = check_tree_pattern(t, ut.k)
     if not is_proper(ut.poset, coloring):
         raise PreconditionViolated("host coloring must be proper")
-    meta = classify_tree(t)
     host = ut.poset
     mapping = {}
 

@@ -27,6 +27,9 @@ def test_counts():
 def test_cap():
     with pytest.raises(CapExceeded):
         posets_of_size(8)
+    # the cap is checked outside the cache, so every cap shares one tuple
+    assert posets_of_size(5, 6) is posets_of_size(5)
+    assert posets_of_size(5, 6) is posets_of_size(5, 8)
 
 
 def test_no_duplicates_and_sorted():

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rainbowposet import are_isomorphic, harp, organ, poset_from_text
+from rainbowposet import (
+    BadParams,
+    are_isomorphic,
+    chain,
+    harp,
+    max_mass_pattern_free_with_extremes,
+    organ,
+    poset_from_text,
+)
 from rainbowposet.cli import main
 
 
@@ -226,17 +234,41 @@ def test_empty_pattern(tmp_path, capsys):
 def test_negative_ground_set_is_a_usage_error(tmp_path, capsys):
     patt = tmp_path / "chain2.poset"
     run_cli(capsys, "construct", "chain", "2", "-o", str(patt))
-    for argv in (
-        ["la-star", "-1", "--pattern", str(patt)],
-        ["la-star", "-1", "--bracket", "--pattern", str(patt)],
-        ["lar-star", "-1", str(patt)],
+    for argv, named in (
+        (["la-star", "-1", "--pattern", str(patt)], "n=-1"),
+        (["la-star", "-1", "--bracket", "--pattern", str(patt)], "n=-1"),
+        (["lar-star", "-1", str(patt)], "n=-1"),
+        (["sigma", "-1", "0"], "n=-1"),
+        (
+            ["la-star", "5", "--bracket", "--node-budget", "-1", "--pattern"]
+            + [str(patt)],
+            "node_budget=-1",
+        ),
     ):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", argv
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
-        assert "n=-1" in lines[0], lines
+        assert named in lines[0], lines
+    with pytest.raises(BadParams, match="n=-1"):
+        max_mass_pattern_free_with_extremes(-1, chain(2))
+
+
+def test_embed_checks_the_pattern_before_building_the_host(tmp_path, capsys):
+    # a pattern that is no tree, or too large for k, is named even where
+    # universal_tree(k) would exceed the size cap
+    for params, k, message in [
+        (["diamond"], [], "classification needs a tree poset"),
+        (["chain", "3"], ["--k", "2"], "pattern larger than the universal tree order"),
+        (["chain", "4"], [], "universal_tree(4) exceeds the cap of 4096 elements"),
+    ]:
+        path = str(tmp_path / "pattern.poset")
+        run_cli(capsys, "construct", *params, "-o", path)
+        code = main(["embed", "--tree", path, *k])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", params
+        assert captured.err == f"error: {message}\n"
 
 
 INPUT_TOKENS = [
@@ -279,11 +311,65 @@ def test_text_inputs_exit_0_or_one_error_line(tmp_path, capsys, tokens, sep):
             assert "Traceback" not in err
 
 
-def test_timings_flag(tmp_path, capsys):
-    patt = tmp_path / "a2.poset"
-    run_cli(capsys, "construct", "antichain", "2", "-o", str(patt))
-    _, out = run_cli(capsys, "--timings", "forces", str(patt), str(patt))
-    assert "elapsed_ms" in json.loads(out)
+def _json_commands(capsys, monkeypatch, tmp_path):
+    """Command lines that cover every JSON subcommand, run in tmp_path
+    with their inputs written there; the --text lines come last."""
+    monkeypatch.chdir(tmp_path)
+    for name, params in [
+        ("a2", ["antichain", "2"]),
+        ("vee", ["vee"]),
+        ("harp2", ["harp", "2"]),
+        ("diamond", ["diamond"]),
+    ]:
+        run_cli(capsys, "construct", *params, "-o", f"{name}.poset")
+    (tmp_path / "f.family").write_text("family n=3\n{}\n1\n1,2\n")
+    return [
+        ["gen", "--max-size", "4", "--out", "catalog"],
+        ["forces", "harp2.poset", "diamond.poset"],
+        ["forces", "a2.poset", "a2.poset"],
+        ["minimal", "harp2.poset", "diamond.poset"],
+        ["search-m", "vee.poset", "--max-size", "5"],
+        ["m-value", "a2.poset"],
+        ["lubell", "f.family"],
+        ["sigma", "5", "2"],
+        ["la-star", "3", "--pattern", "vee.poset"],
+        ["la-star", "5", "--bracket", "--node-budget", "300", "--pattern", "a2.poset"],
+        ["lar-star", "3", "a2.poset"],
+        ["minmax", "f.family"],
+        ["--text", "sigma", "5", "2"],
+        ["--text", "forces", "a2.poset", "a2.poset"],
+        ["--text", "la-star", "3", "--pattern", "vee.poset"],
+    ]
+
+
+# sha256 of the exit code and stdout of each command of _json_commands,
+# computed before the JSON subcommands shared one output path and
+# unchanged by it: the default output of all ten is pinned byte for byte.
+CLI_DIGEST = "9463282e64bd343b43abd10e7c0d9caab4718969215c2f51e28d21aab54fdc6b"
+
+
+def test_json_subcommand_bytes(tmp_path, monkeypatch, capsys):
+    digest = hashlib.sha256()
+    for argv in _json_commands(capsys, monkeypatch, tmp_path):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == CLI_DIGEST
+
+
+def test_timings_flag(tmp_path, monkeypatch, capsys):
+    # every JSON subcommand carries an integer elapsed_ms under --timings,
+    # and the rest of its payload is the payload of the plain run
+    commands = _json_commands(capsys, monkeypatch, tmp_path)
+    commands = [argv for argv in commands if argv[0] != "--text"]
+    assert len({a[0] for a in commands}) == 10
+    for argv in commands:
+        _, plain = run_cli(capsys, *argv)
+        code, out = run_cli(capsys, "--timings", *argv)
+        timed = json.loads(out)
+        elapsed = timed.pop("elapsed_ms")
+        assert code == 0 and type(elapsed) is int and elapsed >= 0, argv
+        assert timed == json.loads(plain), argv
 
 
 def test_text_format(tmp_path, capsys):
