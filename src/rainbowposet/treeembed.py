@@ -205,13 +205,7 @@ class CompleteDowntreeHost:
         return False
 
     def has_color_below(self, v: int, color) -> bool:
-        lo = hi = v
-        for _ in range(self.depth(v), self.h):
-            if color in self.colors[lo : hi + 1]:
-                return True
-            lo = self.k * lo + 1
-            hi = self.k * hi + self.k
-        return False
+        return _color_in_subtree(self.colors, self.k, v, color)
 
     def max_rank_usable(self, avoid) -> Optional[int]:
         """The first node in breadth-first order whose color is usable."""
@@ -221,44 +215,48 @@ class CompleteDowntreeHost:
         return None
 
 
+def _color_in_subtree(colors, k: int, v: int, c) -> bool:
+    """Whether c occurs at v or below it in the breadth-first k-ary downtree
+    `colors`, scanning the run lo..hi that v's subtree covers per level."""
+    lo = hi = v
+    size = len(colors)
+    while lo < size:
+        if c in colors[lo : hi + 1]:
+            return True
+        lo = k * lo + 1
+        hi = k * hi + k
+    return False
+
+
 def random_downtree_coloring(k: int, h: int, rng):
-    """Proper coloring of the complete k-ary downtree of height h: elements
-    in random order, color uniform over feasible existing colors plus one
-    fresh color. Feasibility tracks ancestor colors by one parent walk per
-    node and descendant colors by bitmasks pushed up the same walk."""
+    """Proper breadth-first coloring of the complete k-ary downtree of
+    height h: elements in random order, color uniform over feasible existing
+    colors plus one fresh color, by rejection. A drawn existing color is
+    rejected if an ancestor or, for an inner node, its subtree has it."""
+    if k < 1 or h < 1:
+        raise BadParams("host needs k, h >= 1")
     size = sum(k**d for d in range(h))
     order = list(range(size))
     rng.shuffle(order)
     colors = [-1] * size
-    desc = [0] * size
     num = 0
     rnd = rng.random
-    anc = [0] * h
+    leaves = size - k ** (h - 1)
     for e in order:
-        forb = desc[e]
-        a = e
-        depth = 0
-        while a:
-            a = (a - 1) // k
-            anc[depth] = a
-            depth += 1
-            c = colors[a]
-            if c >= 0:
-                forb |= 1 << c
-        # uniform over feasible existing colors plus one fresh, by rejection
         while True:
             r = int(rnd() * (num + 1))
             if r >= num:
-                c = num
                 num += 1
                 break
-            if not forb >> r & 1:
-                c = r
-                break
-        colors[e] = c
-        bit = 1 << c
-        for i in range(depth):
-            desc[anc[i]] |= bit
+            a = e
+            while a:
+                a = (a - 1) // k
+                if colors[a] == r:
+                    break
+            else:  # no ancestor has r; a leaf has no subtree to scan
+                if e >= leaves or not _color_in_subtree(colors, k, e, r):
+                    break
+        colors[e] = r
     return colors
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from rainbowposet import (
+    BadParams,
     Coloring,
     CompleteDowntreeHost,
     NotATreePoset,
@@ -39,6 +40,12 @@ from rainbowposet.treeembed import EmbeddingCertificate
 # seeded colorings of universal_tree(3), each tree poset on 3 elements.
 # It pins every image and color the universal-tree embedder picks.
 UNIVERSAL_DIGEST = "3ee0ca591d1cf3cf5819a072d23f81aabb965e6190b06793ae77809c058e5e99"
+
+# sha256 over repr(colors) + "\n" of random_downtree_coloring(k, k,
+# random.Random(f"color-{k}-{s}")) for k = 1..7, s = 0, 1, 2 (k outer),
+# computed with the generator that tracked descendant colors in bitmasks.
+# It pins the fuzz hosts' colors themselves, draw for draw.
+COLOR_DIGEST = "1dbe29616f1b01d5c7da767e0608a5502a8b10dfd01253d796bb92f83746760d"
 
 
 def tree_posets_on(n):
@@ -176,6 +183,31 @@ class TestArithmeticHost:
         assert host.children(0) == (1, 2, 3)
         assert host.children(4) == ()
         assert host.less(5, 1) and not host.less(1, 5)
+
+    def test_colorings_are_pinned(self):
+        digest = hashlib.sha256()
+        for k in range(1, 8):
+            for s in range(3):
+                cols = random_downtree_coloring(k, k, random.Random(f"color-{k}-{s}"))
+                digest.update(repr(cols).encode() + b"\n")
+        assert digest.hexdigest() == COLOR_DIGEST
+
+    def test_colorings_are_proper(self):
+        # the host order walks parents on its own; a node's ancestors come
+        # before it in breadth-first order
+        for k in range(1, 6):
+            for s in range(3):
+                cols = random_downtree_coloring(k, k, random.Random(f"proper-{k}-{s}"))
+                host = CompleteDowntreeHost(k, k, cols)
+                for a in range(host.size):
+                    for b in range(a):
+                        if host.less(a, b):
+                            assert cols[a] != cols[b], (k, s, a, b)
+
+    def test_coloring_rejects_empty_shapes(self):
+        for k, h in ((0, 3), (3, 0)):
+            with pytest.raises(BadParams):
+                random_downtree_coloring(k, h, random.Random(0))
 
     def test_fuzz_cases(self):
         for seed in range(250):
