@@ -4,7 +4,7 @@ Hosts are passed as bit rows so the same kernel serves posets and set
 families. Patterns are preprocessed once into a plan holding, for every
 possible anchor vertex, a static search order with per-step constraints,
 and the up- and down-degree of every distinct role. One recursive extender
-answers existence only: it stops at the first copy.
+stops at the first copy, which the kernel returns.
 """
 
 from __future__ import annotations
@@ -120,9 +120,10 @@ def _extend(up, down, steps, image, i, avail, colors, colorbits):
 
 
 def exists_copy(host_up, host_down, n, plan, *, active=None, colors=None, anchor=None):
-    """True iff an induced copy of the plan's pattern exists among the active
+    """The first induced copy of the plan's pattern found among the active
     host elements, with pairwise-distinct colors when `colors` is given and
-    containing `anchor` when given.
+    containing `anchor` when given: a list of host elements, the anchor
+    first; None when there is none, and True for the empty pattern.
 
     An anchored call tries the anchor in each distinct role of the pattern,
     skipping a role whose up- or down-degree exceeds the number of active
@@ -132,17 +133,18 @@ def exists_copy(host_up, host_down, n, plan, *, active=None, colors=None, anchor
     if active is None:
         active = (1 << n) - 1
     if m > active.bit_count():
-        return False
+        return None
     if m == 0:
         return True
     if anchor is None:
-        return _extend(
-            host_up, host_down, plan.steps[None], [0] * m, 0, active, colors, 0
-        )
+        image = [0] * m
+        if _extend(host_up, host_down, plan.steps[None], image, 0, active, colors, 0):
+            return image
+        return None
     if not active >> anchor & 1:
-        return False
+        return None
     if m == 1:
-        return True
+        return [anchor]
     above = (host_up[anchor] & active).bit_count()
     below = (host_down[anchor] & active).bit_count()
     avail = active ^ (1 << anchor)
@@ -156,6 +158,6 @@ def exists_copy(host_up, host_down, n, plan, *, active=None, colors=None, anchor
                 host_up, host_down, plan.steps[v], image, 1, avail, colors, colorbits
             )
         ):
-            return True
-    return False
+            return image
+    return None
 

@@ -9,6 +9,8 @@ copy (copies survive every extension, so the prune is sound).
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -77,9 +79,9 @@ def is_proper(p: Poset, coloring: Coloring) -> bool:
 
 
 def has_rainbow_copy(host: Poset, coloring: Coloring, pattern: Poset) -> bool:
-    return exists_copy(
-        host._up, host._down, host.n, plan_for(pattern), colors=coloring.colors
-    )
+    plan = plan_for(pattern)
+    found = exists_copy(host._up, host._down, host.n, plan, colors=coloring.colors)
+    return found is not None
 
 
 def proper_colorings(p: Poset):
@@ -132,6 +134,85 @@ def random_proper_coloring(p: Poset, rng) -> Coloring:
 # --- the forcing search ------------------------------------------------------
 
 
+def _deadline(budget_s):
+    """The monotonic time at which a search with this budget stops, inf
+    for no budget (None)."""
+    if budget_s is None:
+        return math.inf
+    if not budget_s >= 0:
+        raise BadParams(f"budget_s={budget_s:g} is not a number of seconds >= 0")
+    return time.monotonic() + budget_s
+
+
+def _refute(search, i, assigned, greedy):
+    """Color the elements order[i:] so that no rainbow copy arises, given
+    the proper coloring `colors` of the elements in `assigned`; True when
+    that succeeds, with the first such coloring (in search order) left in
+    `colors`.
+
+    Each element tries the feasible existing colors in order, then one
+    fresh color, and a branch dies as soon as a rainbow copy holds the
+    element just colored. A copy that is rainbow with an existing color
+    stays rainbow with a fresh one, and a copy found with any color stays
+    rainbow under every color that its other elements do not use. So one
+    copy search with the fresh color decides most colors, and only those
+    on the copy it finds get a search of their own. `greedy` holds until
+    the search first backtracks: until then the first feasible color
+    usually completes a refutation, so it is searched first, and a copy
+    it holds decides the others in place of the fresh color's.
+    """
+    up, down, n, plan, order, comp, colors, classes, ticks, deadline, budget_s = search
+    if next(ticks) & 255 == 0 and time.monotonic() > deadline:
+        raise ForcingTimeout(f"forcing search exceeded its {budget_s:g}s budget")
+    if i == n:
+        return True
+    e = order[i]
+    bit = 1 << e
+    assigned |= bit
+    fresh = len(classes)
+    start = 0  # the colors below it are decided
+    copy = None
+    if greedy:
+        for c in range(fresh):
+            if not classes[c] & comp[e]:
+                start = c + 1
+                colors[e] = c
+                copy = exists_copy(
+                    up, down, n, plan, active=assigned, colors=colors, anchor=e
+                )
+                if copy is None:
+                    classes[c] |= bit
+                    if _refute(search, i + 1, assigned, True):
+                        return True
+                    classes[c] ^= bit
+                    greedy = False
+                break
+    if copy is None:
+        colors[e] = fresh
+        copy = exists_copy(up, down, n, plan, active=assigned, colors=colors, anchor=e)
+    if copy is None:  # no color of e completes a rainbow copy
+        tried = range(start, fresh + 1)
+    else:  # it stays rainbow under every color its other elements do not use
+        tried = sorted({colors[x] for x in copy[1:] if colors[x] >= start})
+    for c in tried:
+        if c == fresh:
+            classes.append(0)
+        elif classes[c] & comp[e]:
+            continue
+        colors[e] = c
+        if copy is not None and exists_copy(
+            up, down, n, plan, active=assigned, colors=colors, anchor=e
+        ):
+            continue
+        classes[c] |= bit
+        if _refute(search, i + 1, assigned, greedy):
+            return True
+        classes[c] ^= bit
+        greedy = False
+    del classes[fresh:]
+    return False
+
+
 def refuting_coloring(
     host: Poset, pattern: Poset, budget_s: Optional[float] = DEFAULT_BUDGET_S
 ) -> Optional[Coloring]:
@@ -139,76 +220,45 @@ def refuting_coloring(
     rainbow induced copy of pattern; None when exhaustive search proves the
     host rainbow-forces the pattern.
 
-    Elements are colored in rank-then-index order; a branch dies as soon as
-    its colored prefix holds a rainbow copy, which only requires a search
-    anchored at the element just colored. Every coloring holds the empty
-    pattern, so nothing refutes it.
+    Elements are colored in rank-then-index order (see `_refute`). A
+    negative or NaN budget raises BadParams; None means no budget. Every
+    coloring holds the empty pattern, so nothing refutes it.
     """
+    deadline = _deadline(budget_s)
     if pattern.n == 0:
         return None
     n = host.n
     rank = rank_partition(host).rank
     order = sorted(range(n), key=lambda x: (rank[x], x))
     comp = [host.up_mask(x) | host.down_mask(x) for x in range(n)]
-    plan = plan_for(pattern)
     colors = [0] * n
-    class_masks = []
-    assigned = 0
-    deadline = time.monotonic() + budget_s if budget_s is not None else None
-    ticks = 0
-    host_up, host_down = host._up, host._down
-
-    def rec(i):
-        nonlocal assigned, ticks
-        ticks += 1
-        if deadline is not None and ticks & 255 == 0 and time.monotonic() > deadline:
-            raise ForcingTimeout(
-                f"forcing search exceeded its {budget_s:g}s budget"
-            )
-        if i == n:
-            return True
-        e = order[i]
-        bit = 1 << e
-        for c in range(len(class_masks) + 1):
-            fresh = c == len(class_masks)
-            if not fresh and class_masks[c] & comp[e]:
-                continue
-            colors[e] = c
-            if fresh:
-                class_masks.append(bit)
-            else:
-                class_masks[c] |= bit
-            assigned |= bit
-            if not exists_copy(
-                host_up,
-                host_down,
-                n,
-                plan,
-                active=assigned,
-                colors=colors,
-                anchor=e,
-            ):
-                if rec(i + 1):
-                    return True
-            assigned &= ~bit
-            if fresh:
-                class_masks.pop()
-            else:
-                class_masks[c] &= ~bit
-        return False
-
-    if rec(0):
-        return Coloring.from_values([colors[x] for x in range(n)])
+    search = (
+        host._up,
+        host._down,
+        n,
+        plan_for(pattern),
+        order,
+        comp,
+        colors,
+        [],  # one bitmask of elements per color
+        itertools.count(1),  # node ticks: the clock is read every 256 nodes
+        deadline,
+        budget_s,
+    )
+    if _refute(search, 0, 0, True):
+        return Coloring.from_values(colors)
     return None
 
 
 def _forces(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S) -> bool:
     """The bare forcing decision, with no witness: a host smaller than the
     pattern or without a copy of it cannot force it, so the coloring search
-    runs only after the size check and an unanchored copy search."""
+    runs only after the size check and an unanchored copy search. A bad
+    budget is rejected even where no search runs."""
+    _deadline(budget_s)
     return (
         pattern.n <= host.n
-        and exists_copy(host._up, host._down, host.n, plan_for(pattern))
+        and exists_copy(host._up, host._down, host.n, plan_for(pattern)) is not None
         and refuting_coloring(host, pattern, budget_s) is None
     )
 

@@ -255,6 +255,39 @@ def test_negative_ground_set_is_a_usage_error(tmp_path, capsys):
         max_mass_pattern_free_with_extremes(-1, chain(2))
 
 
+@pytest.mark.parametrize(
+    "command, budget, named",
+    [
+        (["forces", "{ojk}", "{a4}"], "-1", "budget_s=-1"),
+        (["minimal", "{a2}", "{a2}"], "-5", "budget_s=-5"),
+        (["forces", "{ojk}", "{a4}"], "nan", "budget_s=nan"),
+        (["minimal", "{a2}", "{a4}"], "nan", "budget_s=nan"),
+    ],
+    ids=["forces-negative", "minimal-negative", "forces-nan", "minimal-no-search"],
+)
+def test_bad_budget_is_a_usage_error(tmp_path, capsys, command, budget, named):
+    paths = {}
+    for name, params in [
+        ("ojk", ["ojk", "2", "4"]),
+        ("a4", ["antichain", "4"]),
+        ("a2", ["antichain", "2"]),
+    ]:
+        paths[name] = str(tmp_path / f"{name}.poset")
+        run_cli(capsys, "construct", *params, "-o", paths[name])
+    code = main([*(c.format(**paths) for c in command), "--budget", budget])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+
+def test_zero_budget_is_valid(tmp_path, capsys):
+    path = str(tmp_path / "a2.poset")
+    run_cli(capsys, "construct", "antichain", "2", "-o", path)
+    code, out = run_cli(capsys, "forces", path, path, "--budget", "0")
+    assert code == 0 and json.loads(out)["refutation"] == [0, 0]
+
+
 def test_embed_checks_the_pattern_before_building_the_host(tmp_path, capsys):
     # a pattern that is no tree, or too large for k, is named even where
     # universal_tree(k) would exceed the size cap

@@ -3,7 +3,7 @@ combination of the `active`, `colors` and `anchor` filters."""
 
 import random
 
-from rainbowposet import posets_of_size
+from rainbowposet import make_poset, posets_of_size
 from rainbowposet._copies import exists_copy, plan_for
 from test_canonical_keys import random_labeled_posets
 from test_poset import naive_induced_copies
@@ -40,19 +40,30 @@ def test_kernel_matches_brute_force():
                     expected = _oracle(copies, mask, colors)
                     for anchor in [None, *range(n)]:
                         want = any(anchor is None or anchor in c for c in expected)
-                        assert (
-                            exists_copy(
-                                host._up,
-                                host._down,
-                                n,
-                                plan,
-                                active=active,
-                                colors=colors,
-                                anchor=anchor,
-                            )
-                            == want
-                        ), (host._up, pattern._up, active, colors, anchor)
+                        got = exists_copy(
+                            host._up,
+                            host._down,
+                            n,
+                            plan,
+                            active=active,
+                            colors=colors,
+                            anchor=anchor,
+                        )
+                        where = (host._up, pattern._up, active, colors, anchor)
+                        assert bool(got) == want, where
+                        if got:
+                            # the copy found, as host elements, anchor first
+                            assert tuple(sorted(got)) in expected, (got, where)
+                            assert anchor is None or got[0] == anchor, (got, where)
                         checked += 1
                         found += want
     # Both answers occur often enough for the comparison to mean something.
     assert found > checked // 10 and checked - found > checked // 10
+
+
+def test_empty_pattern_is_always_found():
+    empty = plan_for(make_poset(0, []))
+    for host in random_labeled_posets(count=8, seed=404):
+        for anchor in (None, 0):
+            found = exists_copy(host._up, host._down, host.n, empty, anchor=anchor)
+            assert found is True

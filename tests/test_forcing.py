@@ -1,5 +1,6 @@
 """Proper colorings, rainbow copies and the forcing decision procedure."""
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from rainbowposet import (
+    BadParams,
     Coloring,
     ForcingTimeout,
     PreconditionViolated,
@@ -27,6 +29,7 @@ from rainbowposet import (
     m_value,
     make_poset,
     middle_layers,
+    o_jk,
     organ,
     perp_value,
     posets_of_size,
@@ -40,6 +43,13 @@ from rainbowposet import (
     verify_linear_sum_closure,
 )
 from rainbowposet.forcing import _forces
+from test_canonical_keys import random_labeled_posets
+from test_copies import PATTERNS
+from test_poset import naive_induced_copies
+
+# sha256 of (forces, refutation) from rainbow_forces for 150 seeded random
+# labeled posets on 2..8 elements against the 24 patterns on 1..4 elements.
+REFUTE_DIGEST = "ba8c284d26d91e6036598a995685e45da01dbf67e127792cc9ddc568406e545a"
 
 
 class TestColoring:
@@ -79,10 +89,10 @@ class TestRainbowCopies:
     def test_forced_in_organ2(self):
         o2, a2 = organ(2), antichain(2)
         for c in proper_colorings(o2):
-            assert has_rainbow_copy(o2, c, a2)
+            assert has_rainbow_copy(o2, c, a2) is True
 
     def test_monochromatic_antichain(self):
-        assert not has_rainbow_copy(antichain(2), Coloring((0, 0)), antichain(2))
+        assert has_rainbow_copy(antichain(2), Coloring((0, 0)), antichain(2)) is False
 
     def test_middle_layers_chain_copy(self):
         fam = middle_layers(4, 2)
@@ -145,10 +155,26 @@ class TestRefutation:
         assert proc.stdout == "refuting coloring is not proper\n"
 
     def test_budget(self):
-        from rainbowposet import o_jk
-
         with pytest.raises(ForcingTimeout):
             refuting_coloring(o_jk(2, 5), antichain(5), budget_s=1e-9)
+
+    @pytest.mark.parametrize("budget", [-1, -1e-9, float("nan")])
+    def test_bad_budget_is_rejected(self, budget):
+        named = "budget_s=nan" if budget != budget else f"budget_s={budget:g}"
+        for decide in (refuting_coloring, rainbow_forces, _forces, is_minimal_forcing):
+            with pytest.raises(BadParams, match=named):
+                decide(o_jk(2, 4), antichain(4), budget)
+        # also where the size check or the empty pattern ends the decision
+        with pytest.raises(BadParams, match=named):
+            _forces(chain(1), antichain(2), budget)
+        with pytest.raises(BadParams, match=named):
+            refuting_coloring(vee(), make_poset(0, []), budget)
+
+    def test_zero_and_no_budget_are_valid(self):
+        for budget in (0, None):
+            refutation = refuting_coloring(antichain(2), antichain(2), budget)
+            assert refutation.colors == (0, 0)
+            assert rainbow_forces(organ(2), antichain(2), budget).forces
 
 
 class TestForcing:
@@ -182,8 +208,6 @@ class TestForcing:
     def test_budget_applies_on_every_call(self):
         # An earlier decision on the same classes must not answer for a
         # later call with a smaller budget.
-        from rainbowposet import o_jk
-
         host, pattern = o_jk(2, 4), antichain(4)
         rainbow_forces(host, pattern)
         with pytest.raises(ForcingTimeout):
@@ -201,6 +225,37 @@ class TestForcing:
                         _forces(host.delete(x), pattern) for x in range(host.n)
                     ):
                         assert _forces(host, pattern)
+
+    def test_refutations_are_pinned(self):
+        hosts = [h for h in random_labeled_posets(count=172, seed=1515) if h.n >= 2]
+        assert len(hosts) == 150 and len(PATTERNS) == 24
+        digest = hashlib.sha256()
+        for host in hosts:
+            for pattern in PATTERNS:
+                v = rainbow_forces(host, pattern)
+                refutation = v.refutation and v.refutation.colors
+                digest.update(repr((v.forces, refutation)).encode())
+        assert digest.hexdigest() == REFUTE_DIGEST
+
+    def test_matches_brute_force(self):
+        # Forcing by its definition: every proper coloring holds a rainbow
+        # copy among the element subsets that induce the pattern.
+        hosts = [h for h in random_labeled_posets(count=96, seed=77) if 2 <= h.n <= 6]
+        verdicts = set()
+        for host in hosts:
+            colorings = [c.colors for c in proper_colorings(host)]
+            for pattern in PATTERNS:
+                copies = naive_induced_copies(host, pattern)
+                bad = [
+                    cols
+                    for cols in colorings
+                    if not any(len({cols[x] for x in c}) == len(c) for c in copies)
+                ]
+                v = rainbow_forces(host, pattern)
+                assert v.forces == (not bad), (host._up, pattern._up)
+                assert v.forces or v.refutation.colors in bad
+                verdicts.add(v.forces)
+        assert verdicts == {True, False}
 
 
 class TestMinimality:
