@@ -67,8 +67,8 @@ class CheckResult:
     seconds: float
 
 
-# Item indices per claim: small, so that no worker is left with a long tail
-# of work after the others run out.
+# Items per chunk. Chunks are dealt out in turn, so small ones spread the
+# costly items evenly over the workers.
 _SWEEP_CHUNK = 4
 
 
@@ -76,65 +76,59 @@ def _sweep(fn, items):
     """``[fn(x) for x in items]``: the same values in the same order, computed
     on every CPU in this process's affinity mask.
 
-    The calling process claims the first chunk of indices, forks one child
-    per extra CPU, and works too; all of them claim chunks from one shared
-    counter until none are left. Children send their results back over a
-    pipe, and the results are merged in index order. ``fn`` and ``items``
-    are inherited through fork, so closures work; only results and
-    exceptions are pickled. Where the affinity mask or fork is unavailable,
-    no child is started and the same loop runs in this process.
+    With w workers (this process and one forked child per extra CPU),
+    worker j computes chunks j, j + w, j + 2w, ... in order, so which items
+    run in which process, and what this process allocates, does not depend
+    on timing. Children send their results back over a pipe, and the
+    results are merged in index order. ``fn`` and ``items`` are inherited
+    through fork, so closures work; only results and exceptions are
+    pickled. Where the affinity mask or fork is unavailable, no child is
+    started and the same loop runs in this process.
 
     If ``fn`` raises, the sweep raises the exception of the lowest failing
-    index, the one the serial loop would raise. A child that ends without
-    reporting makes the sweep raise. No child outlives the call.
+    index, the one the serial loop would raise; a worker skips the chunks
+    above a failure that another worker reported. A child that ends
+    without reporting makes the sweep raise. No child outlives the call.
     """
     import multiprocessing  # not at module level: it would slow every import
 
     items = list(items)
     try:
         ctx = multiprocessing.get_context("fork")
-        extra = len(os.sched_getaffinity(0)) - 1
+        workers = len(os.sched_getaffinity(0))
     except (AttributeError, ValueError):  # no affinity mask or no fork here
-        ctx, extra = multiprocessing, 0
-    counter = ctx.Value("q", 0)
+        ctx, workers = multiprocessing, 1
+    failed = ctx.Value("q", len(items))  # the lowest failing index reported
 
-    def claim():
-        with counter.get_lock():
-            start = counter.value
-            counter.value = start + _SWEEP_CHUNK
-        return start
-
-    def work(start):
+    def work(j):
         done = []
-        while start < len(items):
+        for start in range(j * _SWEEP_CHUNK, len(items), workers * _SWEEP_CHUNK):
+            if start > failed.value:
+                break
             chunk = []
             for i in range(start, min(start + _SWEEP_CHUNK, len(items))):
                 try:
                     chunk.append(fn(items[i]))
                 except Exception as exc:
-                    # Every chunk before this one is claimed already, and no
-                    # failure after index i can be the one to raise.
-                    with counter.get_lock():
-                        counter.value = len(items)
+                    with failed.get_lock():
+                        failed.value = min(failed.value, i)
                     return done, (i, exc)
             done.append((start, chunk))
-            start = claim()
         return done, None
 
-    def child(conn):
-        conn.send(work(claim()))
+    def child(j, conn):
+        conn.send(work(j))
 
-    first = claim()
     procs, conns = [], []
     try:
-        for _ in range(extra):
+        for j in range(1, workers):
             reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=child, args=(writer,))
+            proc = ctx.Process(target=child, args=(j, writer))
             proc.start()
             writer.close()  # so that a child that dies leaves EOF behind
             procs.append(proc)
             conns.append(reader)
-        reports = [work(first)]
+        reports = [work(0)]
         for conn in conns:
             try:
                 reports.append(conn.recv())

@@ -107,7 +107,8 @@ def test_parent_and_children_share_the_work():
 
 
 def _fails_at_37_and_150(i):
-    # 37 fails late, so that with two workers 150 has failed by then
+    # 37 fails late; with two workers 37 and 150 both fall to the child,
+    # which stops at 37 and never runs 150
     time.sleep(0.5 if i == 37 else 0.001)
     if i in (37, 150):
         raise ValueError(i)
@@ -120,6 +121,23 @@ def test_raises_the_lowest_failing_index(cpus, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     with pytest.raises(ValueError) as info:
         _sweep(_fails_at_37_and_150, range(200))
+    assert info.value.args == (37,)
+    assert multiprocessing.active_children() == []
+
+
+def _fails_at_37_and_40(i):
+    # With two workers 37 and 40 fall to different processes, and the slow
+    # index 4 holds back the one with 37, so 40 has failed by then.
+    time.sleep(0.5 if i == 4 else 0.001)
+    if i in (37, 40):
+        raise ValueError(i)
+    return i
+
+
+@needs_two_cpus
+def test_a_failure_in_one_worker_leaves_a_lower_one_in_another():
+    with pytest.raises(ValueError) as info:
+        _sweep(_fails_at_37_and_40, range(200))
     assert info.value.args == (37,)
     assert multiprocessing.active_children() == []
 
