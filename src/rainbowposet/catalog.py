@@ -8,28 +8,31 @@ import os
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import CapExceeded
+from .errors import BadParams, CapExceeded
 from .poset import Poset, _bits, canonical_form, canonical_key
 
 DEFAULT_CAP = 7
 
 
 def order_ideals(p: Poset):
-    """All down-closed element subsets of p, as bitmasks (including 0)."""
-    out = []
-    for mask in range(1 << p.n):
-        ok = True
-        rest = mask
-        while rest:
-            low = rest & -rest
-            d = low.bit_length() - 1
-            rest ^= low
-            if p._down[d] & ~mask:
-                ok = False
-                break
-        if ok:
-            out.append(mask)
-    return out
+    """All down-closed element subsets of p, as ascending bitmasks (including 0).
+
+    Elements are decided from the highest index down, leaving out before
+    taking in, so the ideals come out in ascending order. Taking x in takes
+    its down-set with it; x must stay out when an element below it with a
+    higher index is already out. Every branch therefore ends in an ideal."""
+    ideals = [0]
+    for x in range(p.n - 1, -1, -1):
+        bit = 1 << x
+        down = p._down[x]
+        decided_below = down & (-bit << 1)
+        grown = []
+        for ideal in ideals:
+            grown.append(ideal)
+            if not (ideal & bit or decided_below & ~ideal):
+                grown.append(ideal | bit | down)
+        ideals = grown
+    return ideals
 
 
 def posets_of_size(n: int, cap: int = DEFAULT_CAP):
@@ -76,15 +79,23 @@ def _posets_of_size(n: int):
             new = (ideal.bit_count(), mass)
             if any(new < inv for m, inv in rivals if not ideal >> m & 1):
                 continue
-            cand = Poset(rows)
+            # q is transitively closed and the new maximal element's down-set
+            # is an order ideal, so the candidate is too: no re-validation
+            cand = Poset(rows, validate=False)
             key = canonical_key(cand)
             if key not in reps:
                 reps[key] = canonical_form(cand)
     return tuple(reps[k] for k in sorted(reps))
 
 
+def _check_max_n(max_n: int) -> None:
+    if max_n < 0:
+        raise BadParams(f"catalog size max_n={max_n} is negative")
+
+
 def catalog_upto(max_n: int, cap: int = DEFAULT_CAP):
     """Map size -> tuple of representatives, for sizes 1..max_n."""
+    _check_max_n(max_n)
     return {n: posets_of_size(n, cap) for n in range(1, max_n + 1)}
 
 
@@ -156,6 +167,7 @@ def dump_catalog(directory: str, max_n: int, cap: int = DEFAULT_CAP) -> dict:
     plus a manifest listing counts per size. Returns the manifest."""
     from .poset import poset_to_text
 
+    _check_max_n(max_n)
     os.makedirs(directory, exist_ok=True)
     counts = {}
     for n in range(1, max_n + 1):

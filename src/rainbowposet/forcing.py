@@ -301,6 +301,8 @@ def search_M(
     when no deletion's key is among the forcing keys found so far."""
     if pattern.n == 0:
         raise BadParams("every poset rainbow-forces the empty pattern")
+    if size_bound < 0:
+        raise BadParams(f"size bound size_bound={size_bound} is negative")
     if size_bound > cap:
         raise CapExceeded(f"size bound {size_bound} above enumeration cap {cap}")
     forcing = set()
@@ -341,6 +343,8 @@ def m_value(pattern: Poset, cap: int = DEFAULT_CAP, budget_s=DEFAULT_BUDGET_S) -
     """
     if pattern.n == 0:
         raise BadParams("every poset rainbow-forces the empty pattern")
+    if cap < 0:
+        raise BadParams(f"enumeration cap cap={cap} is negative")
     hi = perp_value(pattern)
     for n in range(pattern.n, min(hi, cap) + 1):
         for host in posets_of_size(n, cap):

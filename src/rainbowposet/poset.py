@@ -300,31 +300,60 @@ def _refined_classes(p: Poset):
     """Partition elements into order-invariant classes, sorted by signature.
 
     Iterates a degree/rank style refinement until stable; used to restrict
-    the canonical-key search to class-respecting permutations.
+    the canonical-key search to class-respecting permutations. Ranks are
+    those of `rank_partition`, peeled inline. Twins (equal up and down rows)
+    always share a signature, so a partition whose classes are all twins,
+    a discrete one among them, cannot split: the loop stops there without
+    a round that would only confirm it.
     """
     n = p.n
-    rk = rank_partition(p).rank
-    ups = [_bits(row) for row in p._up]
-    downs = [_bits(row) for row in p._down]
-    sig = [(len(downs[x]), len(ups[x]), rk[x]) for x in range(n)]
+    up, down = p._up, p._down
+    twin_classes = len(set(zip(up, down)))
+    rk = [0] * n
+    remaining = (1 << n) - 1
+    r = 0
+    while remaining:
+        r += 1
+        layer = 0
+        for x in _bits(remaining):
+            if not down[x] & remaining:
+                rk[x] = r
+                layer |= 1 << x
+        remaining ^= layer
+    # (|down|, |up|, rank) as one int with the same order: each is at most n
+    m = n + 1
+    sig = [(down[x].bit_count() * m + up[x].bit_count()) * m + rk[x] for x in range(n)]
     while True:
         code = {s: i for i, s in enumerate(sorted(set(sig)))}
-        coded = [code[s] for s in sig]
+        if len(code) == twin_classes:
+            break
+        coded = [code[s] for s in sig].__getitem__
         new = [
             (
-                coded[x],
-                tuple(sorted([coded[y] for y in ups[x]])),
-                tuple(sorted([coded[y] for y in downs[x]])),
+                coded(x),
+                tuple(sorted(map(coded, _bits(up[x])))),
+                tuple(sorted(map(coded, _bits(down[x])))),
             )
             for x in range(n)
         ]
         if len(set(new)) == len(code):
             break
         sig = new
-    classes = {}
-    for x in range(n):
-        classes.setdefault(sig[x], []).append(x)
-    return [classes[s] for s in sorted(classes)]
+    classes = [[] for _ in code]
+    for x, s in enumerate(sig):
+        classes[code[s]].append(x)
+    return classes
+
+
+def _append_position(cur: int, row_up: int, row_down: int, placed) -> int:
+    """The bits cur followed by rel(x, y) for each placed y, then rel(y, x)
+    for each, where x is the element with rows row_up and row_down."""
+    above = below = 0
+    for y in placed:
+        above = (above << 1) | (row_up >> y & 1)
+        below = (below << 1) | (row_down >> y & 1)
+    i = len(placed)
+    return (((cur << i) | above) << i) | below
 
 
 def _canonical_search(p: Poset):
@@ -342,12 +371,20 @@ def _canonical_search(p: Poset):
     (hence the permutation) is the one the unpruned search finds.
     """
     n = p.n
-    slots = [list(block) for block in _refined_classes(p)]
+    slots = _refined_classes(p)
+    up, down = p._up, p._down
+    if len(slots) == len(set(zip(up, down))):
+        # every class is twins, a discrete partition among them: the search
+        # below visits one leaf, the classes in order
+        perm = [elem for block in slots for elem in block]
+        cur = 0
+        for i, elem in enumerate(perm):
+            cur = _append_position(cur, up[elem], down[elem], perm[:i])
+        return cur, n * (n - 1), perm
     # position -> which block it draws from
     owner = []
     for bi, block in enumerate(slots):
         owner.extend([bi] * len(block))
-    up, down = p._up, p._down
     # index in the same block of the previous twin of each element, or -1
     prev_twin = []
     for block in slots:
@@ -381,14 +418,7 @@ def _canonical_search(p: Poset):
         for j, elem in enumerate(block):
             if flags[j] or (prev[j] >= 0 and not flags[prev[j]]):
                 continue
-            # rel(elem, perm[d]) then rel(perm[d], elem), for d < i
-            above = below = 0
-            row_up, row_down = up[elem], down[elem]
-            for d in range(i):
-                placed = perm[d]
-                above = (above << 1) | (row_up >> placed & 1)
-                below = (below << 1) | (row_down >> placed & 1)
-            nxt = (((cur << i) | above) << i) | below
+            nxt = _append_position(cur, up[elem], down[elem], perm[:i])
             if best_prefix[i + 1] is not None and nxt > best_prefix[i + 1]:
                 continue
             flags[j] = True

@@ -3,6 +3,7 @@ checked against a naive oracle that keys every candidate."""
 
 import hashlib
 import random
+from itertools import chain, permutations, product
 
 from rainbowposet import (
     Poset,
@@ -13,6 +14,7 @@ from rainbowposet import (
     posets_of_size,
 )
 from rainbowposet.catalog import order_ideals
+from rainbowposet.poset import _canonical_search, _refined_classes
 
 # sha256 digests of the byte streams built below, computed with the plain
 # search that keyed every extension and tried every relabeling. The cached
@@ -21,12 +23,16 @@ from rainbowposet.catalog import order_ideals
 # changes them.
 CATALOG_DIGEST = "5c18c97f96667e802990c5e940d508e62e07b85eb2fa81f37841b1ac01a457ef"
 RANDOM_DIGEST = "3bfc1f078409561c283ae14c3375018108a420b5b539888118fe2a1baaae758b"
+# The size-8 layer, which CATALOG_DIGEST does not reach, streamed the same
+# way; computed before candidates skipped re-validation and the search its
+# one-leaf cases.
+SIZE8_DIGEST = "e705a2e9bc29a7504270cc47dbd5daea7abf9c83c99e5ba8aec9884578099c7f"
 
 
-def _catalog_stream():
+def _catalog_stream(sizes=range(1, 8), cap=7):
     h = hashlib.sha256()
-    for n in range(1, 8):
-        for p in posets_of_size(n):
+    for n in sizes:
+        for p in posets_of_size(n, cap):
             h.update(canonical_key(p))
             h.update(repr(p._up).encode())
     return h.hexdigest()
@@ -64,6 +70,10 @@ def _random_stream():
 
 def test_catalog_keys_and_rows_are_pinned():
     assert _catalog_stream() == CATALOG_DIGEST
+
+
+def test_size8_layer_is_pinned():
+    assert _catalog_stream([8], cap=8) == SIZE8_DIGEST
 
 
 def test_random_keys_forms_and_relabelings_are_pinned():
@@ -105,3 +115,54 @@ def test_twins_do_not_blow_up_the_search():
     for k in (8, 12, 16):
         key = canonical_key(antichain(k))
         assert key == bytes([k]) + bytes((k * (k - 1) + 7) // 8)
+
+
+def _first_minimum(p, blocks):
+    """Brute force: every class-respecting relabeling in product order; a
+    later one replaces the best only when its bit string is smaller. The
+    bit string of a relabeling holds, for each position i, the bits
+    rel(perm[i], perm[d]) and then rel(perm[d], perm[i]) for d < i; each
+    i-bit group is built from the related elements alone, which keeps
+    sparse posets (the ones with many relabelings) cheap."""
+    above = [[y for y in range(p.n) if p.less(x, y)] for x in range(p.n)]
+    below = [[y for y in range(p.n) if p.less(y, x)] for x in range(p.n)]
+    best = None
+    pos = [0] * p.n
+    for choice in product(*[permutations(block) for block in blocks]):
+        perm = list(chain.from_iterable(choice))
+        for i, elem in enumerate(perm):
+            pos[elem] = i
+        bits = 0
+        for i, elem in enumerate(perm):
+            group = 0
+            for y in above[elem]:
+                if pos[y] < i:
+                    group |= 1 << (i - 1 - pos[y])
+            bits = bits << i | group
+            group = 0
+            for y in below[elem]:
+                if pos[y] < i:
+                    group |= 1 << (i - 1 - pos[y])
+            bits = bits << i | group
+        if best is None or bits < best[0]:
+            best = (bits, perm)
+    return best
+
+
+def test_canonical_search_matches_brute_force():
+    kinds = set()
+    posets = random_labeled_posets()
+    posets += [p for n in range(1, 7) for p in posets_of_size(n)]
+    for p in posets:
+        blocks = _refined_classes(p)
+        twins = len({(p.up_mask(x), p.down_mask(x)) for x in range(p.n)})
+        if len(blocks) == p.n:
+            kinds.add("discrete")
+        else:
+            kinds.add("twins" if len(blocks) == twins else "searched")
+        bits, perm = _first_minimum(p, blocks)
+        assert _canonical_search(p) == (bits, p.n * (p.n - 1), perm)
+        if perm != list(chain.from_iterable(blocks)):
+            kinds.add("not the first relabeling")
+    assert kinds == {"discrete", "twins", "searched", "not the first relabeling"}
+    assert _canonical_search(Poset([])) == (0, 0, [])

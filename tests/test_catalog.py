@@ -1,11 +1,15 @@
 """Isomorph-free enumeration, cross-checked by independent methods."""
 
 import json
+from itertools import permutations
 
 import pytest
 
 from rainbowposet import (
     CapExceeded,
+    Poset,
+    antichain,
+    chain,
     canonical_key,
     dual,
     dump_catalog,
@@ -53,12 +57,34 @@ def test_dual_closure():
         assert all(canonical_key(dual(p)) in keys for p in posets_of_size(n))
 
 
+def _labeled_posets(n):
+    """Every labeled poset on n elements: each class under every relabeling.
+    Most labelings are no linear extension, so an element can sit below one
+    with a smaller index."""
+    seen = {}
+    for p in posets_of_size(n):
+        for perm in permutations(range(n)):  # element x becomes perm[x]
+            rows = [0] * n
+            for x in range(n):
+                rows[perm[x]] = sum(1 << perm[y] for y in range(n) if p.less(x, y))
+            seen.setdefault(tuple(rows), Poset(rows))
+    return list(seen.values())
+
+
 def test_order_ideals_downward_closed():
-    for p in posets_of_size(4):
-        for ideal in order_ideals(p):
-            for x in range(p.n):
-                if ideal >> x & 1:
-                    assert p.down_mask(x) & ~ideal == 0
+    labeled = {n: _labeled_posets(n) for n in range(1, 6)}
+    assert [len(labeled[n]) for n in range(1, 6)] == [1, 3, 19, 219, 4231]  # A001035
+    for n, posets in labeled.items():
+        for p in posets:
+            closed = [
+                mask
+                for mask in range(1 << n)
+                if all(p.down_mask(x) & ~mask == 0 for x in range(n) if mask >> x & 1)
+            ]
+            assert order_ideals(p) == closed
+    for k in range(1, 7):
+        assert len(order_ideals(antichain(k))) == 2**k
+        assert len(order_ideals(chain(k))) == k + 1
 
 
 def test_dump_catalog(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rainbowposet import (
     BadParams,
     are_isomorphic,
+    catalog_upto,
     chain,
     harp,
     max_mass_pattern_free_with_extremes,
@@ -253,6 +254,35 @@ def test_negative_ground_set_is_a_usage_error(tmp_path, capsys):
         assert named in lines[0], lines
     with pytest.raises(BadParams, match="n=-1"):
         max_mass_pattern_free_with_extremes(-1, chain(2))
+
+
+def test_negative_size_is_a_usage_error(tmp_path, capsys):
+    patt = str(tmp_path / "a2.poset")
+    run_cli(capsys, "construct", "antichain", "2", "-o", patt)
+    out_dir = tmp_path / "catalog"
+    for argv, named in (
+        (["gen", "--max-size", "-1", "--out", str(out_dir)], "max_n=-1"),
+        (["search-m", patt, "--max-size", "-3"], "size_bound=-3"),
+        (["m-value", patt, "--cap", "-1"], "cap=-1"),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert named in lines[0], lines
+    assert not out_dir.exists()
+    with pytest.raises(BadParams, match="max_n=-1"):
+        catalog_upto(-1)
+    # zero is a valid size and keeps its output
+    for argv, payload in (
+        (["gen", "--max-size", "0", "--out", str(out_dir)], {"counts": {}}),
+        (["search-m", patt, "--max-size", "0"], {"count": 0, "forcers": []}),
+        (["m-value", patt, "--cap", "0"], {"lower": 2, "upper": 3, "exact": False}),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert payload.items() <= json.loads(out).items(), out
 
 
 @pytest.mark.parametrize(
