@@ -23,11 +23,9 @@ from . import constructions
 from .catalog import DEFAULT_CAP, dump_catalog
 from .errors import BadParams, ForcingTimeout, RainbowPosetError
 from .families import (
-    BRACKET_NODE_BUDGET,
     family_from_text,
     la_rainbow_star,
     la_star,
-    la_star_bracket,
     lubell_mass,
     minmax_partition,
     sigma,
@@ -46,6 +44,8 @@ from .treeembed import check_tree_pattern, embed_universal, verify_certificate
 from .verify import run_suite
 
 SCHEMA = 1
+# Search nodes `la-star --bracket` visits before it settles for bounds.
+BRACKET_NODE_BUDGET = 500_000
 
 
 BUILDERS = {
@@ -203,11 +203,13 @@ def cmd_sigma(args):
 
 
 def cmd_la_star(args):
+    if args.node_budget is not None and not args.bracket:
+        raise BadParams("--node-budget needs --bracket")
+    budget = BRACKET_NODE_BUDGET if args.node_budget is None else args.node_budget
     patterns = [_read_poset(p) for p in args.patterns]
+    res = la_star(args.n, patterns, node_budget=budget if args.bracket else None)
     if args.bracket:
-        lower, upper = la_star_bracket(args.n, patterns, node_budget=args.node_budget)
-        return {"lower": lower, "upper": upper, "exact": lower == upper}
-    res = la_star(args.n, patterns)
+        return {"lower": res.value, "upper": res.upper, "exact": res.value == res.upper}
     return {"value": res.value, "witness": [sorted(s) for s in res.witness.members()]}
 
 
@@ -313,7 +315,7 @@ def build_parser():
     p.add_argument("n", type=int)
     p.add_argument("--pattern", dest="patterns", action="append", required=True)
     p.add_argument("--bracket", action="store_true", help="budgeted bounds (n=5)")
-    p.add_argument("--node-budget", type=int, default=BRACKET_NODE_BUDGET)
+    p.add_argument("--node-budget", type=int, help="needs --bracket")
     p.set_defaults(fn=_run_json, cmd=cmd_la_star)
 
     p = sub.add_parser("lar-star", help="largest rainbow-refutable family size")

@@ -7,7 +7,7 @@ assertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -21,8 +21,6 @@ from .poset import Poset, _bits
 
 LA_STAR_CAP = 4
 MINMAX_CAP = 8
-# Search nodes `la_star_bracket` may visit before it settles for bounds.
-BRACKET_NODE_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -156,8 +154,13 @@ def minmax_partition(f: SetFamily) -> MinMaxReport:
 
 @dataclass(frozen=True)
 class LaResult:
+    """The first largest family found (`witness`, of size `value`), and the
+    largest size a branch cut by the node budget could reach (`upper`, equal
+    to `value` when nothing was cut)."""
+
     value: int
     witness: SetFamily
+    upper: int
     coloring: Optional[Coloring] = None
 
 
@@ -178,21 +181,22 @@ def _cube_rows(n):
     return tuple(up), tuple(down)
 
 
-def _branch_and_bound(candidates, weights, start, admits, node_budget):
+def _branch_and_bound(candidates, weights, start, admits, node_budget=None):
     """Include-first branch and bound: the first heaviest family that grows
     from the `start` mask by `candidates` (cube masks, tried in the order
     given). `weights[m]` is the integer weight of mask m; `admits(grown,
     new)` tells whether `grown`, which holds `new`, is admissible, and must
     be monotone: every subfamily of an admissible family is admissible. Each
-    node spends one unit of `node_budget`; once it is spent, the remaining
-    branches are cut. Returns the family mask, its weight and the largest
-    weight a cut branch could still reach (0 if none was cut)."""
+    node spends one unit of `node_budget` (None: no limit); once it is spent,
+    the remaining branches are cut. Returns the family mask, its weight and
+    an upper bound: the largest weight a cut branch could still reach, or
+    the family's own weight if that is larger."""
     suffix = [0] * (len(candidates) + 1)
     for i in range(len(candidates) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[candidates[i]]
     start_weight = sum(weights[m] for m in _bits(start))
     best = [start_weight, start]
-    budget = node_budget
+    budget = float("inf") if node_budget is None else node_budget
     cut = 0
 
     def rec(i, fam, weight):
@@ -213,7 +217,7 @@ def _branch_and_bound(candidates, weights, start, admits, node_budget):
         rec(i + 1, fam, weight)
 
     rec(0, start, start_weight)
-    return best[1], best[0], cut
+    return best[1], best[0], max(best[0], cut)
 
 
 def _pattern_free(n, patterns):
@@ -234,65 +238,60 @@ def _pattern_free(n, patterns):
     return admits
 
 
-def _check_ground_set(n: int, cap: int, search: str):
-    """Reject a negative n, and an n above the cap of the named search."""
+def _refutable(n, pattern):
+    """Predicate of the rainbow search: the grown family is refutable."""
+    if pattern.n == 0:
+        raise BadParams("every family rainbow-forces the empty pattern")
+
+    def admits(grown, new):
+        grown_poset = family_poset(SetFamily.from_masks(n, _bits(grown)))
+        return not _forces(grown_poset, pattern, None)
+
+    return admits
+
+
+def _check_ground_set(n: int, search: str, node_budget=None):
+    """Reject a negative n, an n above the cap, and a budget that is not >= 0."""
     if n < 0:
         raise BadParams(f"ground set size n={n} is negative")
+    budgeted = node_budget is not None
+    cap = LA_STAR_CAP + 1 if budgeted else LA_STAR_CAP
     if n > cap:
-        raise CapExceeded(f"{search} is limited to n <= {cap}")
+        kind = "budgeted" if budgeted else "exhaustive"
+        raise CapExceeded(f"{kind} {search} is limited to n <= {cap}")
+    if budgeted and not node_budget >= 0:
+        raise BadParams(f"node_budget={node_budget} is not a node count >= 0")
 
 
-def la_star(n: int, patterns) -> LaResult:
-    """Exact maximum size of a family avoiding induced copies of every
-    pattern, with the lexicographically least witness. Exhaustive over all
-    families of the cube; n <= 4."""
-    _check_ground_set(n, LA_STAR_CAP, "exhaustive la_star")
+def _largest_family(n, search, predicate, arg, node_budget=None) -> LaResult:
+    """Unit-weight include-first search over every mask of the n-cube. Its
+    `predicate(n, arg)` is built only after the cap check: it may build rows."""
+    _check_ground_set(n, search, node_budget)
     total = 1 << n
-    best, value, _ = _branch_and_bound(
-        range(total), [1] * total, 0, _pattern_free(n, patterns), float("inf")
+    best, value, upper = _branch_and_bound(
+        range(total), [1] * total, 0, predicate(n, arg), node_budget
     )
-    return LaResult(value=value, witness=SetFamily.from_masks(n, _bits(best)))
+    return LaResult(value, SetFamily.from_masks(n, _bits(best)), upper)
+
+
+def la_star(n: int, patterns, node_budget=None) -> LaResult:
+    """Largest family avoiding induced copies of every pattern, and the first
+    such family in include-first order over increasing masks. Exhaustive for
+    n <= 4; a `node_budget` also allows n = 5 and cuts the search after that
+    many nodes, leaving `value` and `upper` to bracket the maximum."""
+    return _largest_family(n, "la_star", _pattern_free, patterns, node_budget)
 
 
 def la_rainbow_star(n: int, pattern: Poset) -> LaResult:
     """Exact maximum size of a family whose containment order does not
-    rainbow-force the pattern, plus the witness family and a proper
-    refuting coloring of it; n <= 4. A subfamily of a refutable family is
-    refutable, so this is `la_star`'s include-first search with the
-    predicate "the grown family does not rainbow-force the pattern".
-    The witness is the first largest family in include-first order over
-    increasing masks."""
-    _check_ground_set(n, LA_STAR_CAP, "exhaustive la_rainbow_star")
-    if pattern.n == 0:
-        raise BadParams("every family rainbow-forces the empty pattern")
-    total = 1 << n
-
-    def refutable(grown, new):
-        grown_poset = family_poset(SetFamily.from_masks(n, _bits(grown)))
-        return not _forces(grown_poset, pattern, None)
-
-    best, value, _ = _branch_and_bound(
-        range(total), [1] * total, 0, refutable, float("inf")
-    )
-    witness = SetFamily.from_masks(n, _bits(best))
-    coloring = refuting_coloring(family_poset(witness), pattern, None)
+    rainbow-force the pattern, with the witness and a proper refuting
+    coloring of it; n <= 4. A subfamily of a refutable family is refutable,
+    so `la_star`'s include-first search applies."""
+    res = _largest_family(n, "la_rainbow_star", _refutable, pattern)
+    coloring = refuting_coloring(family_poset(res.witness), pattern, None)
     if coloring is None:
         raise AssertionError("the refutable witness has no refuting coloring")
-    return LaResult(value=value, witness=witness, coloring=coloring)
-
-
-def la_star_bracket(n: int, patterns, node_budget: int = BRACKET_NODE_BUDGET):
-    """Best-effort bracketing of the pattern-free maximum for ground sets
-    one past the exhaustive cap: a budgeted include-first search returns
-    (lower, upper); the bounds coincide when the budget sufficed."""
-    _check_ground_set(n, LA_STAR_CAP + 1, "bracket mode")
-    if node_budget < 0:
-        raise BadParams(f"node_budget={node_budget} is negative")
-    total = 1 << n
-    _, lower, cut = _branch_and_bound(
-        range(total), [1] * total, 0, _pattern_free(n, patterns), node_budget
-    )
-    return lower, max(lower, cut)
+    return replace(res, coloring=coloring)
 
 
 def middle_layers(n: int, k: int, include_extremes: bool = False) -> SetFamily:
@@ -328,7 +327,7 @@ def max_mass_pattern_free_with_extremes(n: int, pattern: Poset):
     """Exact maximum Lubell mass over families that contain the empty and
     full sets and avoid induced copies of the pattern; exhaustive branch
     and bound over the remaining masks. Returns (mass, witness)."""
-    _check_ground_set(n, 4, "exhaustive mass maximization")
+    _check_ground_set(n, "mass maximization")
     total = 1 << n
     # Masses scaled by the lcm of the binomials of order n are integers.
     scale = lcm(*(comb(n, k) for k in range(n + 1)))
@@ -338,7 +337,6 @@ def max_mass_pattern_free_with_extremes(n: int, pattern: Poset):
         weights,
         1 | 1 << (total - 1),
         _pattern_free(n, [pattern]),
-        float("inf"),
     )
     return Fraction(weight, scale), SetFamily.from_masks(n, _bits(best))
 

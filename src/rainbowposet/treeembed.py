@@ -179,7 +179,7 @@ class CompleteDowntreeHost:
         self.offsets = offsets
         if len(colors) != s:
             raise BadParams("coloring does not cover the host")
-        self.colors = list(colors)
+        self.colors = colors
 
     def depth(self, v: int) -> int:
         return bisect.bisect_right(self.offsets, v) - 1

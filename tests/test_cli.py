@@ -245,6 +245,9 @@ def test_negative_ground_set_is_a_usage_error(tmp_path, capsys):
             + [str(patt)],
             "node_budget=-1",
         ),
+        # a node budget without --bracket is refused, whatever its value
+        (["la-star", "3", "--node-budget", "-5", "--pattern", str(patt)], "--bracket"),
+        (["la-star", "3", "--node-budget", "300", "--pattern", str(patt)], "--bracket"),
     ):
         code = main(argv)
         captured = capsys.readouterr()

@@ -119,27 +119,37 @@ class TestMinMax:
 
 class TestExtremalSearches:
     def test_la_star_examples(self):
-        assert la_star(3, [chain(2)]).value == 3
-        assert la_star(4, [chain(3)]).value == sigma(4, 2) == 10
-        assert la_star(3, [organ(2)]).value == 5
+        cases = ((3, chain(2), 3), (4, chain(3), 10), (3, organ(2), 5))
+        for n, pattern, value in cases:
+            res = la_star(n, [pattern])
+            # an exhaustive search cuts no branch
+            assert res.value == res.upper == len(res.witness) == value
+        assert sigma(4, 2) == 10
 
     def test_la_star_witness_is_free_and_lex_least(self):
         res = la_star(3, [chain(2)])
         assert res.witness.sets == (1, 2, 4)
 
     def test_la_star_cap(self):
+        # n = 5 needs a node budget, and no budget reaches n = 6
         with pytest.raises(CapExceeded):
             la_star(5, [chain(2)])
+        with pytest.raises(CapExceeded):
+            la_star(6, [chain(2)], node_budget=1)
 
     def test_la_star_bracket(self):
-        from rainbowposet import la_star_bracket
+        res = la_star(4, [chain(3)], node_budget=500_000)
+        assert res.value == res.upper == 10
+        res = la_star(5, [chain(2)], node_budget=300_000)
+        assert res.value <= 10 <= res.upper  # the one-layer maximum
+        assert len(res.witness) == res.value
+        tiny = la_star(4, [chain(3)], node_budget=40)
+        assert tiny.value <= 10 <= tiny.upper
 
-        lo, hi = la_star_bracket(4, [chain(3)])
-        assert lo == hi == 10
-        lo, hi = la_star_bracket(5, [chain(2)], node_budget=300_000)
-        assert lo <= 10 <= hi  # the one-layer maximum
-        tiny_lo, tiny_hi = la_star_bracket(4, [chain(3)], node_budget=40)
-        assert tiny_lo <= 10 <= tiny_hi
+    @pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
+    def test_bad_node_budget_is_rejected(self, budget):
+        with pytest.raises(BadParams, match="node_budget="):
+            la_star(4, [chain(3)], node_budget=budget)
 
     def test_lar_star_examples(self):
         assert la_rainbow_star(3, antichain(2)).value == 5 == sigma(3, 1) + 2
@@ -154,13 +164,11 @@ class TestExtremalSearches:
 
     def test_empty_pattern_is_rejected(self):
         # every family holds the empty pattern, so no witness avoids it
-        from rainbowposet import la_star_bracket
-
         empty = make_poset(0, [])
         with pytest.raises(BadParams):
             la_star(2, [chain(2), empty])
         with pytest.raises(BadParams):
-            la_star_bracket(4, [empty])
+            la_star(4, [empty], node_budget=500_000)
         with pytest.raises(BadParams):
             max_mass_pattern_free_with_extremes(3, empty)
         with pytest.raises(BadParams):

@@ -1,5 +1,5 @@
 """Pinned outputs of the family searches: the greedy sampler of criterion 9
-and the exhaustive, bracketing and rainbow searches, so that a change to
+and the exhaustive, budgeted and rainbow searches, so that a change to
 the copy kernel, to the family representation or to the search order that
 alters any chosen family shows."""
 
@@ -10,12 +10,16 @@ from fractions import Fraction
 import pytest
 
 from rainbowposet import (
+    Coloring,
     antichain,
     chain,
     complete_multilevel,
     diamond,
+    family_poset,
     harp,
+    has_rainbow_copy,
     organ,
+    search_M,
     vee,
     wedge,
 )
@@ -23,7 +27,6 @@ from rainbowposet.families import (
     greedy_pattern_free_family,
     la_rainbow_star,
     la_star,
-    la_star_bracket,
     max_mass_pattern_free_with_extremes,
 )
 
@@ -142,9 +145,36 @@ def test_la_star_witnesses_are_pinned():
 
 
 def test_brackets_are_pinned():
-    assert la_star_bracket(4, [chain(3)]) == (10, 10)
-    assert la_star_bracket(5, [chain(3)], node_budget=20_000) == (11, 31)
-    assert la_star_bracket(5, [organ(2)], node_budget=20_000) == (12, 31)
+    for n, pattern, budget, bounds in (
+        (4, chain(3), 500_000, (10, 10)),
+        (5, chain(3), 20_000, (11, 31)),
+        (5, organ(2), 20_000, (12, 31)),
+    ):
+        res = la_star(n, [pattern], node_budget=budget)
+        assert (res.value, res.upper) == bounds, (n, pattern)
+
+
+def test_budgeted_witness_is_pinned_and_copy_free():
+    res = la_star(5, [chain(3)], node_budget=20_000)
+    assert res.witness.sets == (0, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24)
+    # under all-distinct colors every induced copy is rainbow, so a family
+    # with no rainbow copy has no copy at all
+    fam = family_poset(res.witness)
+    distinct = Coloring.from_values(range(fam.n))
+    assert not has_rainbow_copy(fam, distinct, chain(3))
+
+
+def test_budgeted_la_star_is_exact_on_the_5_cube():
+    # the forcer lists of the sandwich bound La_R^*(5, P) <= La^*(5, M)
+    for pattern, masks in (
+        (antichain(2), (0, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 31)),
+        (
+            vee(),
+            (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 24, 25, 26, 28, 31),
+        ),
+    ):
+        res = la_star(5, search_M(pattern, 6), node_budget=10**9)
+        assert (res.value, res.upper, res.witness.sets) == (len(masks), len(masks), masks)
 
 
 def test_mass_maxima_are_pinned():
