@@ -1,17 +1,16 @@
-"""Backtracking kernel for induced copies with active, color and anchor filters.
+"""Compiled kernel for induced copies with active, color and anchor filters.
 
 Hosts are passed as bit rows so the same kernel serves posets and set
 families. Patterns are preprocessed once into a plan holding, for every
-possible anchor vertex, a static search order with per-step constraints,
-and the up- and down-degree of every distinct role. One recursive extender
-stops at the first copy, which the kernel returns.
+possible anchor vertex, a static search order, and the up- and down-degree
+of every distinct role. The first search from an anchor role, colored or
+not, compiles that order into one function of nested loops, one loop per
+step; it stops at the first copy, which the kernel returns.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-_BELOW, _ABOVE, _INCOMP = 0, 1, 2
 
 
 def _order_from(pattern_up, pattern_down, m, first):
@@ -35,36 +34,150 @@ def _order_from(pattern_up, pattern_down, m, first):
     return order
 
 
-class PatternPlan:
-    """Precomputed search steps and anchor roles for one pattern poset.
+def _search_source(pattern_up, pattern_down, order, anchored, colored):
+    """Python source of `_search`, the depth-first search along `order`;
+    when `anchored`, step 0 is the anchor x0, which `avail` leaves out.
 
-    `steps[first]` is the search from anchor vertex `first` (None: no
-    anchor); its step i is (constraints, is_last), where the constraints
-    list (j, relation) of the image of step i to the image of each earlier
-    step j. `roles` holds one (v, |up(v)|, |down(v)|) per distinct
-    (up row, down row) pair of the pattern.
+    Step i binds the host image x{i} in a loop over the set bits of its
+    candidate mask c{i}, lowest first. Every candidate lies in `avail`, so
+    it is active and unused; each earlier image x{j} contributes one term
+    to it, ANDed in once, in the loop that binds x{j}: up[x{j}] when step i
+    lies above step j, down[x{j}] when below, ~(up[x{j}] | down[x{j}] |
+    b{j}) when incomparable (b{j} = 1 << x{j}, so the used element is out).
+    p{i}_{j} is step i's mask after the terms of steps 0..j (two steps
+    with the same mask share one name). With colors, s{i} holds the color
+    bits of x0..x{i}, and a candidate whose color is taken is skipped. The
+    first complete copy is returned as [x0, ..., x{m-1}].
+    """
+    m = len(order)
+    lines = [f"def _search(up, down, avail, colors{', x0' if anchored else ''}):"]
+
+    def emit(depth, text):
+        lines.append("    " * depth + text)
+
+    masks = ["avail"] * m  # each step's candidate mask so far, as an expression
+
+    def narrow(j, depth, leave):
+        """The terms of x{j} on every later step, after x{j} is bound."""
+        rels = []
+        for k in range(j + 1, m):
+            if pattern_up[order[j]] >> order[k] & 1:
+                rels.append("up")
+            elif pattern_down[order[j]] >> order[k] & 1:
+                rels.append("down")
+            else:
+                rels.append("incomp")
+        incomp = rels.count("incomp")
+        rows = {}
+        for row in ("up", "down"):
+            rows[row] = f"{row}[x{j}]"
+            if rels.count(row) + (incomp > 0) > 1:
+                emit(depth, f"{row[0]}{j} = {rows[row]}")
+                rows[row] = f"{row[0]}{j}"
+        # the anchor is not in `avail`, so its own bit needs no clearing
+        used = "" if anchored and j == 0 else f" | b{j}"
+        terms = {"up": rows["up"], "down": rows["down"]}
+        terms["incomp"] = f"~({rows['up']} | {rows['down']}{used})"
+        if incomp > 1:
+            emit(depth, f"n{j} = {terms['incomp']}")
+            terms["incomp"] = f"n{j}"
+        k = j + 1
+        emit(depth, f"c{k} = {masks[k]} & {terms[rels[0]]}")
+        if k == m - 1 and not colored:  # any candidate completes the copy
+            emit(depth, f"if c{k}:")
+            images = ", ".join(f"x{i}" for i in range(k))
+            emit(depth + 1, f"return [{images}, (c{k} & -c{k}).bit_length() - 1]")
+            return
+        emit(depth, f"if not c{k}:")
+        emit(depth + 1, leave)
+        named = {}
+        for k in range(j + 2, m):
+            mask = f"{masks[k]} & {terms[rels[k - j - 1]]}"
+            if mask not in named:
+                named[mask] = f"p{k}_{j}"
+                emit(depth, f"{named[mask]} = {mask}")
+            masks[k] = named[mask]
+        loop(j + 1, depth)
+
+    def loop(i, depth):
+        emit(depth, f"while c{i}:")
+        depth += 1
+        emit(depth, f"b{i} = c{i} & -c{i}")
+        emit(depth, f"c{i} ^= b{i}")
+        emit(depth, f"x{i} = b{i}.bit_length() - 1")
+        if colored and i == 0:
+            emit(depth, "s0 = 1 << colors[x0]")
+        elif colored and i == m - 1:
+            emit(depth, f"if s{i - 1} >> colors[x{i}] & 1:")
+            emit(depth + 1, "continue")
+        elif colored:
+            emit(depth, f"h{i} = 1 << colors[x{i}]")
+            emit(depth, f"if s{i - 1} & h{i}:")
+            emit(depth + 1, "continue")
+            emit(depth, f"s{i} = s{i - 1} | h{i}")
+        if i == m - 1:
+            emit(depth, f"return [{', '.join(f'x{j}' for j in range(m))}]")
+        else:
+            narrow(i, depth, "continue")
+
+    if anchored:
+        if colored:
+            emit(1, "s0 = 1 << colors[x0]")
+        narrow(0, 1, "return None")
+    else:
+        emit(1, "c0 = avail")
+        loop(0, 1)
+    return "\n".join(lines) + "\n"
+
+
+class _Searches(dict):
+    """The compiled searches of one plan in one coloring mode, keyed by the
+    anchor's role (None: no anchor), each compiled on its first use."""
+
+    __slots__ = ("pattern_up", "pattern_down", "orders", "colored")
+
+    def __init__(self, pattern_up, pattern_down, orders, colored):
+        super().__init__()
+        self.pattern_up = pattern_up
+        self.pattern_down = pattern_down
+        self.orders = orders
+        self.colored = colored
+
+    def __missing__(self, first):
+        source = _search_source(
+            self.pattern_up,
+            self.pattern_down,
+            self.orders[first],
+            first is not None,
+            self.colored,
+        )
+        # The source holds only fixed identifiers and the integer indices of
+        # the plan's steps, never text from outside the program.
+        namespace = {}
+        exec(compile(source, "<copy search>", "exec"), namespace)
+        search = self[first] = namespace["_search"]
+        return search
+
+
+class PatternPlan:
+    """Search orders and anchor roles for one pattern poset.
+
+    `orders[first]` lists the pattern element of each step of the search
+    from anchor vertex `first` (None: no anchor), so a copy, which lists
+    host elements in step order, maps element orders[first][i] to copy[i].
+    `roles` holds one (v, |up(v)|, |down(v)|) per distinct (up row, down
+    row) pair of the pattern. `searches[colored][first]` is the compiled
+    search along `orders[first]`, built when first used.
     """
 
-    __slots__ = ("m", "steps", "roles")
+    __slots__ = ("m", "orders", "roles", "searches")
 
     def __init__(self, pattern_up, pattern_down, m):
         self.m = m
-        self.steps = {}
-        for first in [None] + list(range(m)):
-            order = _order_from(pattern_up, pattern_down, m, first)
-            steps = []
-            for i, v in enumerate(order):
-                cons = []
-                for j in range(i):
-                    w = order[j]
-                    if pattern_up[w] >> v & 1:
-                        cons.append((j, _ABOVE))
-                    elif pattern_down[w] >> v & 1:
-                        cons.append((j, _BELOW))
-                    else:
-                        cons.append((j, _INCOMP))
-                steps.append((tuple(cons), i == m - 1))
-            self.steps[first] = tuple(steps)
+        self.orders = {
+            first: tuple(_order_from(pattern_up, pattern_down, m, first))
+            for first in [None, *range(m)]
+        }
         roles = {}
         for v in range(m):
             roles.setdefault(
@@ -72,6 +185,10 @@ class PatternPlan:
                 (v, pattern_up[v].bit_count(), pattern_down[v].bit_count()),
             )
         self.roles = tuple(roles.values())
+        self.searches = tuple(
+            _Searches(pattern_up, pattern_down, self.orders, colored)
+            for colored in (False, True)
+        )
 
 
 @lru_cache(maxsize=512)
@@ -83,47 +200,12 @@ def plan_for(pattern):
     return _plan_cached(pattern._up, pattern._down, pattern.n)
 
 
-def _extend(up, down, steps, image, i, avail, colors, colorbits):
-    """Map steps i.. onto `avail` (the active host elements not yet used),
-    given the images of steps < i; with `colors`, no color may repeat among
-    `colorbits`. Returns True at the first complete copy.
-
-    Every candidate lies in `avail`, so it is active, unused and distinct
-    from each earlier image w: "incomparable to w" is ~(up[w] | down[w]).
-    """
-    cons, last = steps[i]
-    cand = avail
-    for j, rel in cons:
-        w = image[j]
-        if rel == _ABOVE:
-            cand &= up[w]
-        elif rel == _BELOW:
-            cand &= down[w]
-        else:
-            cand &= ~(up[w] | down[w])
-        if not cand:
-            return False
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        x = low.bit_length() - 1
-        bits = colorbits
-        if colors is not None:
-            cbit = 1 << colors[x]
-            if bits & cbit:
-                continue
-            bits |= cbit
-        image[i] = x
-        if last or _extend(up, down, steps, image, i + 1, avail ^ low, colors, bits):
-            return True
-    return False
-
-
 def exists_copy(host_up, host_down, n, plan, *, active=None, colors=None, anchor=None):
     """The first induced copy of the plan's pattern found among the active
     host elements, with pairwise-distinct colors when `colors` is given and
-    containing `anchor` when given: a list of host elements, the anchor
-    first; None when there is none, and True for the empty pattern.
+    containing `anchor` when given: a list of host elements in the order of
+    the search's steps, the anchor first; None when there is none, and True
+    for the empty pattern.
 
     An anchored call tries the anchor in each distinct role of the pattern,
     skipping a role whose up- or down-degree exceeds the number of active
@@ -136,11 +218,11 @@ def exists_copy(host_up, host_down, n, plan, *, active=None, colors=None, anchor
         return None
     if m == 0:
         return True
+    searches = plan.searches[colors is not None]
     if anchor is None:
-        image = [0] * m
-        if _extend(host_up, host_down, plan.steps[None], image, 0, active, colors, 0):
-            return image
-        return None
+        if m == 1:
+            return [(active & -active).bit_length() - 1]
+        return searches[None](host_up, host_down, active, colors)
     if not active >> anchor & 1:
         return None
     if m == 1:
@@ -148,16 +230,9 @@ def exists_copy(host_up, host_down, n, plan, *, active=None, colors=None, anchor
     above = (host_up[anchor] & active).bit_count()
     below = (host_down[anchor] & active).bit_count()
     avail = active ^ (1 << anchor)
-    colorbits = 0 if colors is None else 1 << colors[anchor]
-    image = [anchor] * m  # step 0 of every anchored search maps to the anchor
     for v, need_above, need_below in plan.roles:
-        if (
-            need_above <= above
-            and need_below <= below
-            and _extend(
-                host_up, host_down, plan.steps[v], image, 1, avail, colors, colorbits
-            )
-        ):
-            return image
+        if need_above <= above and need_below <= below:
+            copy = searches[v](host_up, host_down, avail, colors, anchor)
+            if copy is not None:
+                return copy
     return None
-

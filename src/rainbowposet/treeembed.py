@@ -230,14 +230,23 @@ def _color_in_subtree(colors, k: int, v: int, c) -> bool:
 
 def random_downtree_coloring(k: int, h: int, rng):
     """Proper breadth-first coloring of the complete k-ary downtree of
-    height h: elements in random order, color uniform over feasible existing
+    height h, drawn from the `random.Random` rng: elements in random order
+    (the order rng.shuffle gives), color uniform over feasible existing
     colors plus one fresh color, by rejection. A drawn existing color is
     rejected if an ancestor or, for an inner node, its subtree has it."""
     if k < 1 or h < 1:
         raise BadParams("host needs k, h >= 1")
     size = sum(k**d for d in range(h))
+    # rng.shuffle(order), inlined: the same getrandbits draws as
+    # random.Random's rejection sampler, without a Python call per element
     order = list(range(size))
-    rng.shuffle(order)
+    getrandbits = rng.getrandbits
+    for i in range(size - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        order[i], order[j] = order[j], order[i]
     colors = [-1] * size
     num = 0
     rnd = rng.random
