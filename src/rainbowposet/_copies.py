@@ -13,9 +13,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-def _order_from(pattern_up, pattern_down, m, first):
+def _order_from(pattern_up, pattern_down, first):
     """Vertex order starting at `first`: breadth-first over the pattern's
     comparability graph, ties broken by higher degree then index."""
+    m = len(pattern_up)
     adj = [pattern_up[v] | pattern_down[v] for v in range(m)]
     deg = [adj[v].bit_count() for v in range(m)]
     order = [first] if first is not None else []
@@ -172,10 +173,10 @@ class PatternPlan:
 
     __slots__ = ("m", "orders", "roles", "searches")
 
-    def __init__(self, pattern_up, pattern_down, m):
-        self.m = m
+    def __init__(self, pattern_up, pattern_down):
+        self.m = m = len(pattern_up)
         self.orders = {
-            first: tuple(_order_from(pattern_up, pattern_down, m, first))
+            first: tuple(_order_from(pattern_up, pattern_down, first))
             for first in [None, *range(m)]
         }
         roles = {}
@@ -192,15 +193,15 @@ class PatternPlan:
 
 
 @lru_cache(maxsize=512)
-def _plan_cached(up, down, m):
-    return PatternPlan(up, down, m)
+def _plan_cached(up, down):
+    return PatternPlan(up, down)
 
 
 def plan_for(pattern):
-    return _plan_cached(pattern._up, pattern._down, pattern.n)
+    return _plan_cached(pattern._up, pattern._down)
 
 
-def exists_copy(host_up, host_down, n, plan, *, active=None, colors=None, anchor=None):
+def exists_copy(host_up, host_down, plan, *, active=None, colors=None, anchor=None):
     """The first induced copy of the plan's pattern found among the active
     host elements, with pairwise-distinct colors when `colors` is given and
     containing `anchor` when given: a list of host elements in the order of
@@ -209,11 +210,12 @@ def exists_copy(host_up, host_down, n, plan, *, active=None, colors=None, anchor
 
     An anchored call tries the anchor in each distinct role of the pattern,
     skipping a role whose up- or down-degree exceeds the number of active
-    elements above or below the anchor.
+    elements above or below the anchor. With no `active` mask every host
+    element is active.
     """
     m = plan.m
     if active is None:
-        active = (1 << n) - 1
+        active = (1 << len(host_up)) - 1
     if m > active.bit_count():
         return None
     if m == 0:

@@ -226,12 +226,11 @@ def _pattern_free(n, patterns):
     if any(p.n == 0 for p in patterns):
         raise BadParams("every family contains the empty pattern")
     plans = [plan_for(p) for p in patterns]
-    total = 1 << n
     up, down = _cube_rows(n)
 
     def admits(grown, new):
         for plan in plans:
-            if exists_copy(up, down, total, plan, active=grown, anchor=new):
+            if exists_copy(up, down, plan, active=grown, anchor=new):
                 return False
         return True
 

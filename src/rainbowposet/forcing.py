@@ -80,7 +80,7 @@ def is_proper(p: Poset, coloring: Coloring) -> bool:
 
 def has_rainbow_copy(host: Poset, coloring: Coloring, pattern: Poset) -> bool:
     plan = plan_for(pattern)
-    found = exists_copy(host._up, host._down, host.n, plan, colors=coloring.colors)
+    found = exists_copy(host._up, host._down, plan, colors=coloring.colors)
     return found is not None
 
 
@@ -177,9 +177,7 @@ def _refute(search, i, assigned, greedy):
             if not classes[c] & comp[e]:
                 start = c + 1
                 colors[e] = c
-                copy = exists_copy(
-                    up, down, n, plan, active=assigned, colors=colors, anchor=e
-                )
+                copy = exists_copy(up, down, plan, active=assigned, colors=colors, anchor=e)
                 if copy is None:
                     classes[c] |= bit
                     if _refute(search, i + 1, assigned, True):
@@ -189,7 +187,7 @@ def _refute(search, i, assigned, greedy):
                 break
     if copy is None:
         colors[e] = fresh
-        copy = exists_copy(up, down, n, plan, active=assigned, colors=colors, anchor=e)
+        copy = exists_copy(up, down, plan, active=assigned, colors=colors, anchor=e)
     if copy is None:  # no color of e completes a rainbow copy
         tried = range(start, fresh + 1)
     else:  # it stays rainbow under every color its other elements do not use
@@ -201,7 +199,7 @@ def _refute(search, i, assigned, greedy):
             continue
         colors[e] = c
         if copy is not None and exists_copy(
-            up, down, n, plan, active=assigned, colors=colors, anchor=e
+            up, down, plan, active=assigned, colors=colors, anchor=e
         ):
             continue
         classes[c] |= bit
@@ -220,9 +218,11 @@ def refuting_coloring(
     rainbow induced copy of pattern; None when exhaustive search proves the
     host rainbow-forces the pattern.
 
-    Elements are colored in rank-then-index order (see `_refute`). A
-    negative or NaN budget raises BadParams; None means no budget. Every
-    coloring holds the empty pattern, so nothing refutes it.
+    Elements are colored in rank-then-index order (see `_refute`), one
+    recursion level each, so a host deeper than the interpreter's stack
+    raises CapExceeded. A negative or NaN budget raises BadParams; None
+    means no budget. Every coloring holds the empty pattern, so nothing
+    refutes it.
     """
     deadline = _deadline(budget_s)
     if pattern.n == 0:
@@ -245,9 +245,11 @@ def refuting_coloring(
         deadline,
         budget_s,
     )
-    if _refute(search, 0, 0, True):
-        return Coloring.from_values(colors)
-    return None
+    try:
+        refuted = _refute(search, 0, 0, True)
+    except RecursionError:
+        raise CapExceeded(f"a {n}-element host is too deep for the forcing search") from None
+    return Coloring.from_values(colors) if refuted else None
 
 
 def _forces(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S) -> bool:
@@ -258,7 +260,7 @@ def _forces(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S) -> bool:
     _deadline(budget_s)
     return (
         pattern.n <= host.n
-        and exists_copy(host._up, host._down, host.n, plan_for(pattern)) is not None
+        and exists_copy(host._up, host._down, plan_for(pattern)) is not None
         and refuting_coloring(host, pattern, budget_s) is None
     )
 

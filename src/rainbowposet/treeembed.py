@@ -27,8 +27,8 @@ from .poset import Poset, _bits, is_tree_poset, make_poset, rank_partition
 
 @dataclass(frozen=True)
 class TreeMeta:
-    """Distance/side/originator decomposition of a tree poset relative to a
-    fixed maximal base element."""
+    """Distance/side/originator decomposition of a tree poset relative to
+    its lowest-indexed maximal element, the base."""
 
     base: int
     dist: tuple
@@ -37,7 +37,7 @@ class TreeMeta:
     blocks: dict  # owner element -> tuple(owner, members...) in index order
 
 
-def classify_tree(t: Poset, base: Optional[int] = None) -> TreeMeta:
+def classify_tree(t: Poset) -> TreeMeta:
     """Distances are over the comparability graph; odd distance from the
     base makes an element down, even makes it up. The originator of z is
     the extreme-rank neighbor of z one step closer to the base, inside
@@ -47,10 +47,7 @@ def classify_tree(t: Poset, base: Optional[int] = None) -> TreeMeta:
     if not is_tree_poset(t):
         raise NotATreePoset("classification needs a tree poset")
     n = t.n
-    if base is None:
-        base = min(t.maximal_elements())
-    elif t.up_mask(base):
-        raise PreconditionViolated("base element must be maximal")
+    base = min(t.maximal_elements())
     adj = [t.up_mask(x) | t.down_mask(x) for x in range(n)]
     dist = [-1] * n
     dist[base] = 0
@@ -118,21 +115,21 @@ class EmbeddingCertificate:
         return tuple(sorted(self.mapping))
 
 
-def verify_certificate(
-    host: Poset, coloring: Coloring, pattern: Poset, cert: EmbeddingCertificate
-) -> bool:
-    """Definitional check, sharing no code with the embedders: injective,
-    induced-order-preserving both ways, all image colors distinct."""
+def verify_certificate(host, colors, pattern: Poset, cert: EmbeddingCertificate) -> bool:
+    """Definitional check, sharing no code with the embedders: injective
+    into the host elements 0..len(colors)-1, induced-order-preserving both
+    ways under `host.less`, all image colors distinct, and `cert.colors`
+    the colors of the images. `colors[v]` is the color of host element v."""
     m = cert.mapping
     if len(m) != pattern.n or len(set(m)) != len(m):
         return False
-    if any(not 0 <= v < host.n for v in m):
+    if any(not 0 <= v < len(colors) for v in m):
         return False
     for i in range(pattern.n):
         for j in range(pattern.n):
             if i != j and pattern.less(i, j) != host.less(m[i], m[j]):
                 return False
-    cols = [coloring.colors[v] for v in m]
+    cols = [colors[v] for v in m]
     if len(set(cols)) != len(cols):
         return False
     return tuple(cols) == cert.colors
@@ -147,11 +144,12 @@ def _blocked_below(host, v: int, avoid) -> int:
 
 
 class CompleteDowntreeHost:
-    """Complete k-ary downtree of height h with colored nodes, in
-    breadth-first layout: node 0 is the unique maximum, the children of v
-    are k*v+1 .. k*v+k. Layout arithmetic stands in for a Poset, so hosts
-    too large to build as one can be fuzzed. `universal_tree` builds its
-    core and every region in this layout, so they are read in place.
+    """Complete k-ary downtree with colored nodes, in breadth-first layout:
+    node 0 is the unique maximum, the children of v are k*v+1 .. k*v+k, and
+    the height h is the one whose 1 + k + ... + k^(h-1) nodes the colors
+    fill. Layout arithmetic stands in for a Poset, so hosts too large to
+    build as one can be fuzzed. `universal_tree` builds its core and every
+    region in this layout, so they are read in place.
 
     This is the tree-host contract the embedders read:
       k, h                   arity and height (vertices on a root-leaf path);
@@ -165,20 +163,18 @@ class CompleteDowntreeHost:
     A subtree covers one contiguous run of nodes on each level, so color
     presence below a node is one scan of a slice per level."""
 
-    def __init__(self, k: int, h: int, colors):
-        if k < 1 or h < 1:
-            raise BadParams("host needs k, h >= 1")
+    def __init__(self, k: int, colors):
+        if k < 1:
+            raise BadParams("host needs k >= 1")
+        offsets = [0]  # offsets[d]: the first node at depth d
+        while offsets[-1] < len(colors):
+            offsets.append(offsets[-1] * k + 1)
+        if not colors or offsets[-1] != len(colors):
+            raise BadParams(f"no complete {k}-ary downtree has {len(colors)} nodes")
         self.k = k
-        self.h = h
-        offsets = [0]
-        s = 0
-        for d in range(h):
-            s += k**d
-            offsets.append(s)
-        self.size = s
+        self.h = len(offsets) - 1
+        self.size = len(colors)
         self.offsets = offsets
-        if len(colors) != s:
-            raise BadParams("coloring does not cover the host")
         self.colors = colors
 
     def depth(self, v: int) -> int:
@@ -338,16 +334,17 @@ def _embed_block(root, children_of, sizes, host, avoid):
     return image
 
 
-def check_block_properties(host, root, sizes, unusable, image, consumed):
+def check_block_properties(host, root, sizes, unusable, image):
     """The three per-certificate guarantees of the downtree embedder:
     (1) the root sits at a highest-ranked host element with usable color,
     (2) no image color is unusable,
     (3) every non-root image z has rank(z) <= |pattern below| + number of
-        unusable-or-consumed colors appearing in the host below z."""
+        unusable-or-consumed colors appearing in the host below z; the
+        consumed colors are those of the images."""
     best = host.max_rank_usable(set(unusable))
     if host.rank(image[root]) != host.rank(best):
         raise AssertionError("root image is not at the highest usable rank")
-    relevant = set(unusable) | set(consumed)
+    relevant = set(unusable) | {host.color(v) for v in image.values()}
     for t, v in image.items():
         if host.color(v) in unusable:
             raise AssertionError("certificate uses an unusable color")
@@ -358,7 +355,7 @@ def check_block_properties(host, root, sizes, unusable, image, consumed):
 def embed_downtree_on_host(t: Poset, unusable, host) -> EmbeddingCertificate:
     """Rainbow copy of the downtree t in a CompleteDowntreeHost of height
     equal to its arity k, avoiding the unusable colors; requires
-    k >= |t| + |unusable|. The certificate is checked with the host's own
+    k >= |t| + |unusable|. The certificate is verified with the host's own
     order."""
     unusable = set(unusable)
     if host.h != host.k:
@@ -370,16 +367,12 @@ def embed_downtree_on_host(t: Poset, unusable, host) -> EmbeddingCertificate:
     root, kids, sizes = _pattern_downtree(t, "down")
     avoid = set(unusable)
     image = _embed_block(root, kids, sizes, host, avoid)
+    check_block_properties(host, root, sizes, unusable, image)
     mapping = tuple(image[i] for i in range(t.n))
-    cols = [host.color(v) for v in mapping]
-    check_block_properties(host, root, sizes, unusable, image, cols)
-    if len(set(mapping)) != t.n or len(set(cols)) != t.n:
-        raise AssertionError("certificate not injective/rainbow")
-    for i in range(t.n):
-        for j in range(t.n):
-            if i != j and t.less(i, j) != host.less(mapping[i], mapping[j]):
-                raise AssertionError("certificate order mismatch")
-    return EmbeddingCertificate(mapping=mapping, colors=tuple(cols))
+    cert = EmbeddingCertificate(mapping=mapping, colors=tuple(host.colors[v] for v in mapping))
+    if not verify_certificate(host, host.colors, t, cert):
+        raise AssertionError("downtree embedding produced an invalid certificate")
+    return cert
 
 
 # --- the universal-tree embedder -------------------------------------------------
@@ -412,14 +405,8 @@ def embed_universal(
 
     def embed_region(block, region, orientation, avoid):
         # universal_tree lists a region breadth-first, children in creation
-        # order, so region[v] is node v of a complete k-ary downtree; a
-        # length 1, 1+k, 1+k+k^2, ... gives its height, any other fails to
-        # cover the host
-        h = size = 1
-        while size < len(region):
-            size = size * ut.k + 1
-            h += 1
-        view = CompleteDowntreeHost(ut.k, h, [coloring.colors[e] for e in region])
+        # order, so region[v] is node v of a complete k-ary downtree
+        view = CompleteDowntreeHost(ut.k, [coloring.colors[e] for e in region])
         blk = t.restrict(block)
         root, kids, sizes = _pattern_downtree(blk, orientation)
         blocked_here = _blocked_below(view, 0, avoid)
@@ -474,7 +461,7 @@ def embed_universal(
     cert = EmbeddingCertificate(
         mapping=mapping_t, colors=tuple(coloring.colors[v] for v in mapping_t)
     )
-    if not verify_certificate(host, coloring, t, cert):
+    if not verify_certificate(host, coloring.colors, t, cert):
         raise AssertionError("universal embedding produced an invalid certificate")
     return cert
 
@@ -504,7 +491,7 @@ def downtree_fuzz_case(seed: int) -> dict:
         u_ct = rng.randrange(0, min(4, 6 - tn) + 1)
         k = min(6, tn + u_ct + rng.choice((0, 0, 0, 1, 1, 2)))
     cols = random_downtree_coloring(k, k, rng)
-    host = CompleteDowntreeHost(k, k, cols)
+    host = CompleteDowntreeHost(k, cols)
     palette = max(cols) + 1
     unusable = set(rng.sample(range(palette + 2), min(u_ct, palette + 2)))
     cert = embed_downtree_on_host(pattern, unusable, host)

@@ -46,6 +46,17 @@ def test_criterion_04_organ_variant_deletions():
     assert passed, detail
 
 
+def test_criterion_04_reports_its_known_failure_exactly():
+    # the one deletion that still forces, and the 11 refutations that
+    # rainbow_forces re-verified, named in the check's fixed wording
+    passed, detail = verify.check_organ_variant_deletions(quick=False)
+    assert not passed
+    assert detail == (
+        "forcing holds, but deletions [\"t'_3\"] still force; "
+        "11/12 deletions refuted and re-verified"
+    )
+
+
 def test_criterion_05_blowup_forcing():
     run_timed(verify.check_blowup_forcing, 600)
 

@@ -337,6 +337,46 @@ def test_embed_checks_the_pattern_before_building_the_host(tmp_path, capsys):
         assert captured.err == f"error: {message}\n"
 
 
+def test_embed_exhaustive_is_limited_to_k_2(tmp_path, capsys, monkeypatch):
+    # universal_tree(3) has 1,291 elements, too many to enumerate every
+    # proper coloring; the option is refused before the host is built
+    import rainbowposet.constructions as constructions
+
+    path = str(tmp_path / "c2.poset")
+    run_cli(capsys, "construct", "chain", "2", "-o", path)
+    monkeypatch.setattr(constructions, "universal_tree", None)
+    for k in (["--k", "3"], ["--k", "4"]):
+        code = main(["embed", "--tree", path, *k, "--exhaustive"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --exhaustive is limited to k <= 2, got k={k[1]}\n"
+
+
+@pytest.mark.parametrize("command", ["forces", "minimal"])
+def test_a_host_deeper_than_the_stack_is_a_usage_error(tmp_path, capsys, command):
+    # The forcing search recurses once per host element. A 1,100-element
+    # chain refutes the 2-antichain only at full depth; for `minimal` a
+    # second element beside element 1 gives the host the copy of the
+    # pattern that the search needs before it runs. A 900-element chain
+    # still decides.
+    pattern = str(tmp_path / "a2.poset")
+    run_cli(capsys, "construct", "antichain", "2", "-o", pattern)
+    covers = [f"{x} < {x + 1}" for x in range(1099)]
+    if command == "minimal":
+        covers += ["0 < 1100", "1100 < 2"]
+    n = 1100 + (command == "minimal")
+    host = tmp_path / "deep.poset"
+    host.write_text(f"poset n={n}\n" + "\n".join(covers) + "\n")
+    code = main([command, str(host), pattern])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: a {n}-element host is too deep for the forcing search\n"
+    chain900 = str(tmp_path / "c900.poset")
+    run_cli(capsys, "construct", "chain", "900", "-o", chain900)
+    code, out = run_cli(capsys, command, chain900, pattern)
+    assert code == 0 and json.loads(out)[command] is False
+
+
 INPUT_TOKENS = [
     "poset n=0", "poset n=3", "poset n=5", "poset n=", "poset n=x", "poset n=-1",
     "poset n=5000", "poset", "0 < 1", "1 < 2", "2 < 0", "0 < 0", "4 < 7", "a < b",

@@ -95,7 +95,6 @@ def _check_against_brute_force(hosts, patterns, seed):
                         got = exists_copy(
                             host._up,
                             host._down,
-                            n,
                             plan,
                             active=active,
                             colors=colors,
@@ -134,7 +133,7 @@ def test_empty_pattern_is_always_found():
     empty = plan_for(make_poset(0, []))
     for host in random_labeled_posets(count=8, seed=404):
         for anchor in (None, 0):
-            found = exists_copy(host._up, host._down, host.n, empty, anchor=anchor)
+            found = exists_copy(host._up, host._down, empty, anchor=anchor)
             assert found is True
 
 
@@ -148,13 +147,13 @@ def test_searches_compile_on_first_use_only():
     plan = plan_for(make_poset(3, [(0, 1)]))
     assert _compiled(plan) == 0
     colors = list(range(6))
-    assert exists_copy(host._up, host._down, 6, plan) is None
-    assert exists_copy(host._up, host._down, 6, plan, colors=colors, anchor=2) is None
+    assert exists_copy(host._up, host._down, plan) is None
+    assert exists_copy(host._up, host._down, plan, colors=colors, anchor=2) is None
     # the unanchored uncolored search and the colored search of each role tried
     assert dict(plan.searches[0]).keys() == {None}
     assert dict(plan.searches[1]).keys() <= {v for v, _, _ in plan.roles}
     count = _compiled(plan)
-    assert exists_copy(host._up, host._down, 6, plan) is None
+    assert exists_copy(host._up, host._down, plan) is None
     assert _compiled(plan) == count
 
 
@@ -167,7 +166,7 @@ def test_patterns_on_at_most_one_element_compile_nothing():
             for anchor in (None, 2):
                 for active in (None, 0b1100):
                     got = exists_copy(
-                        host._up, host._down, 4, plan, active=active, colors=colors, anchor=anchor
+                        host._up, host._down, plan, active=active, colors=colors, anchor=anchor
                     )
                     if pattern.n == 0:
                         assert got is True

@@ -106,6 +106,18 @@ def test_parent_and_children_share_the_work():
     assert multiprocessing.active_children() == []
 
 
+@pytest.fixture
+def no_shared_value(monkeypatch):
+    """Make every multiprocessing.Value raise: the lowest failing index
+    comes from the workers' own reports, with no shared slot."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep created a multiprocessing.Value")
+
+    monkeypatch.setattr(multiprocessing, "Value", refuse)
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Value", refuse)
+
+
 def _fails_at_37_and_150(i):
     # 37 fails late; with two workers 37 and 150 both fall to the child,
     # which stops at 37 and never runs 150
@@ -116,7 +128,7 @@ def _fails_at_37_and_150(i):
 
 
 @pytest.mark.parametrize("cpus", ["one", "all"])
-def test_raises_the_lowest_failing_index(cpus, monkeypatch):
+def test_raises_the_lowest_failing_index(cpus, monkeypatch, no_shared_value):
     if cpus == "one":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     with pytest.raises(ValueError) as info:
@@ -135,7 +147,7 @@ def _fails_at_37_and_40(i):
 
 
 @needs_two_cpus
-def test_a_failure_in_one_worker_leaves_a_lower_one_in_another():
+def test_a_failure_in_one_worker_leaves_a_lower_one_in_another(no_shared_value):
     with pytest.raises(ValueError) as info:
         _sweep(_fails_at_37_and_40, range(200))
     assert info.value.args == (37,)
@@ -182,7 +194,7 @@ def _no_fork(method=None):
 
 
 @pytest.mark.parametrize("missing", ["affinity", "fork"])
-def test_runs_in_this_process_without_affinity_or_fork(missing, monkeypatch):
+def test_runs_in_this_process_without_affinity_or_fork(missing, monkeypatch, no_shared_value):
     if missing == "affinity":
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:

@@ -34,6 +34,7 @@ from rainbowposet import (
     verify_certificate,
     wedge,
 )
+from rainbowposet import treeembed
 from rainbowposet.treeembed import EmbeddingCertificate
 
 # sha256 of the certificates of criterion 7's quick order-3 sweep: 100
@@ -56,8 +57,8 @@ def embed_on_downtree(t, unusable, k, coloring):
     """embed_downtree_on_host over the colors of downtree(k, k); that
     builder labels breadth-first, so node v is element v and the
     certificate re-checks on the poset."""
-    cert = embed_downtree_on_host(t, unusable, CompleteDowntreeHost(k, k, coloring.colors))
-    assert verify_certificate(downtree(k, k), coloring, t, cert)
+    cert = embed_downtree_on_host(t, unusable, CompleteDowntreeHost(k, coloring.colors))
+    assert verify_certificate(downtree(k, k), coloring.colors, t, cert)
     return cert
 
 
@@ -100,8 +101,6 @@ class TestClassify:
     def test_rejects_non_trees(self):
         with pytest.raises(NotATreePoset):
             classify_tree(diamond())
-        with pytest.raises(PreconditionViolated):
-            classify_tree(chain(3), base=0)
 
 
 class TestEmbedDowntree:
@@ -153,6 +152,25 @@ class TestEmbedDowntree:
             embed_on_downtree(chain(2), set(), 3, coloring)
             assert has_rainbow_copy(host, coloring, chain(2))
 
+    @pytest.mark.parametrize(
+        "pattern, k, image",
+        [
+            # both elements of the 2-chain on the root: not injective
+            (chain(2), 2, {1: 0, 0: 0}),
+            # the wedge's two lower elements on nodes 1 and 4, a child of
+            # node 1: comparable where the pattern has them incomparable
+            (wedge(), 3, {2: 0, 0: 1, 1: 4}),
+        ],
+        ids=["not-injective", "order-broken"],
+    )
+    def test_a_bad_image_fails_certificate_verification(self, monkeypatch, pattern, k, image):
+        # colored by depth, so each image passes check_block_properties and
+        # only verify_certificate can reject it
+        host = CompleteDowntreeHost(k, [d for d in range(k) for _ in range(k**d)])
+        monkeypatch.setattr(treeembed, "_embed_block", lambda *args: dict(image))
+        with pytest.raises(AssertionError, match="invalid certificate"):
+            embed_downtree_on_host(pattern, set(), host)
+
 
 class TestVerifyCertificate:
     def test_tampered_colors_rejected(self):
@@ -160,25 +178,35 @@ class TestVerifyCertificate:
         coloring = Coloring((0, 1, 1))
         cert = embed_on_downtree(chain(2), set(), 2, coloring)
         bad = EmbeddingCertificate(mapping=cert.mapping, colors=(9, 9))
-        assert not verify_certificate(host, coloring, chain(2), bad)
+        assert not verify_certificate(host, coloring.colors, chain(2), bad)
+
     def test_incomparable_pair_rejected(self):
         host = downtree(2, 2)
         coloring = Coloring((0, 1, 2))
         bad = EmbeddingCertificate(mapping=(1, 2), colors=(1, 2))
-        assert not verify_certificate(host, coloring, chain(2), bad)
+        assert not verify_certificate(host, coloring.colors, chain(2), bad)
 
     def test_non_injective_rejected(self):
         host = downtree(2, 2)
         coloring = Coloring((0, 1, 2))
         bad = EmbeddingCertificate(mapping=(1, 1), colors=(1, 1))
-        assert not verify_certificate(host, coloring, antichain(2), bad)
+        assert not verify_certificate(host, coloring.colors, antichain(2), bad)
+
+    def test_any_host_with_less_over_its_colors(self):
+        # the arithmetic host checks with its own order; images range over
+        # the indices of the colors
+        host = CompleteDowntreeHost(2, [0, 1, 1])
+        good = EmbeddingCertificate(mapping=(1, 0), colors=(1, 0))
+        assert verify_certificate(host, host.colors, chain(2), good)
+        outside = EmbeddingCertificate(mapping=(3, 0), colors=(1, 0))
+        assert not verify_certificate(host, host.colors, chain(2), outside)
 
 
 class TestArithmeticHost:
     def test_matches_materialized_host_shape(self):
         cols = random_downtree_coloring(3, 3, random.Random(0))
-        host = CompleteDowntreeHost(3, 3, cols)
-        assert host.size == 13
+        host = CompleteDowntreeHost(3, cols)
+        assert host.size == 13 and host.h == 3
         assert host.rank(0) == 3
         assert host.children(0) == (1, 2, 3)
         assert host.children(4) == ()
@@ -198,11 +226,25 @@ class TestArithmeticHost:
         for k in range(1, 6):
             for s in range(3):
                 cols = random_downtree_coloring(k, k, random.Random(f"proper-{k}-{s}"))
-                host = CompleteDowntreeHost(k, k, cols)
+                host = CompleteDowntreeHost(k, cols)
                 for a in range(host.size):
                     for b in range(a):
                         if host.less(a, b):
                             assert cols[a] != cols[b], (k, s, a, b)
+
+    def test_height_comes_from_the_colors(self):
+        for k in (2, 3, 4):
+            for h, size in ((1, 1), (2, 1 + k), (3, 1 + k + k * k)):
+                assert CompleteDowntreeHost(k, [0] * size).h == h
+            for size in (0, 1 + k + 1):
+                with pytest.raises(BadParams):
+                    CompleteDowntreeHost(k, [0] * size)
+        for size in range(1, 7):  # a chain: every positive length fills it
+            assert CompleteDowntreeHost(1, [0] * size).h == size
+        with pytest.raises(BadParams):
+            CompleteDowntreeHost(1, [])
+        with pytest.raises(BadParams):
+            CompleteDowntreeHost(0, [0])
 
     def test_coloring_rejects_empty_shapes(self):
         for k, h in ((0, 3), (3, 0)):
@@ -236,8 +278,7 @@ class TestBreadthFirstHost:
                 cases.append((ut.poset, k, region, "up" if ut.side[e] == "down" else "down"))
         for poset, k, region, orientation in cases:
             size = len(region)
-            h = next(h for h in range(1, size + 1) if sum(k**d for d in range(h)) == size)
-            tree = CompleteDowntreeHost(k, h, [0] * size)
+            tree = CompleteDowntreeHost(k, [0] * size)
             for a in range(size):
                 for b in range(size):
                     if a == b:
@@ -283,7 +324,7 @@ class TestEmbedUniversal:
         count = 0
         for coloring in proper_colorings(ut.poset):
             cert = embed_universal(chain(2), ut, coloring)
-            assert verify_certificate(ut.poset, coloring, chain(2), cert)
+            assert verify_certificate(ut.poset, coloring.colors, chain(2), cert)
             count += 1
         assert count == 203
 
@@ -301,7 +342,7 @@ class TestEmbedUniversal:
             coloring = random_proper_coloring(ut.poset, random.Random(i))
             for t in trees:
                 cert = embed_universal(t, ut, coloring)
-                assert verify_certificate(ut.poset, coloring, t, cert)
+                assert verify_certificate(ut.poset, coloring.colors, t, cert)
 
     def test_order3_sweep_is_pinned(self):
         ut = universal_tree(3)
@@ -323,4 +364,4 @@ class TestEmbedUniversal:
         coloring = random_proper_coloring(ut.poset, rng)
         for t in (wedge(), chain(3)):
             cert = embed_universal(t, ut, coloring)
-            assert verify_certificate(ut.poset, coloring, t, cert)
+            assert verify_certificate(ut.poset, coloring.colors, t, cert)
