@@ -162,7 +162,7 @@ def posets_by_relation_filter(n: int):
     return sorted(keys)
 
 
-def dump_catalog(directory: str, max_n: int, cap: int = DEFAULT_CAP) -> dict:
+def dump_catalog(directory: str, max_n: int) -> dict:
     """Write one poset text file per class, named by canonical-key hash,
     plus a manifest listing counts per size. Returns the manifest."""
     from .poset import poset_to_text
@@ -171,7 +171,7 @@ def dump_catalog(directory: str, max_n: int, cap: int = DEFAULT_CAP) -> dict:
     os.makedirs(directory, exist_ok=True)
     counts = {}
     for n in range(1, max_n + 1):
-        reps = posets_of_size(n, cap)
+        reps = posets_of_size(n, max_n)
         counts[str(n)] = len(reps)
         for p in reps:
             digest = hashlib.sha256(canonical_key(p)).hexdigest()[:16]

@@ -120,8 +120,7 @@ def cmd_construct(args):
 
 
 def cmd_gen(args):
-    cap = max(args.max_size, DEFAULT_CAP)
-    manifest = dump_catalog(args.out, args.max_size, cap=cap)
+    manifest = dump_catalog(args.out, args.max_size)
     return {"counts": manifest["counts"], "directory": args.out}
 
 
@@ -143,7 +142,7 @@ def cmd_minimal(args):
 
 def cmd_search_m(args):
     pattern = _read_poset(args.pattern)
-    found = search_M(pattern, args.max_size, cap=max(args.max_size, DEFAULT_CAP))
+    found = search_M(pattern, args.max_size)
     return {
         "count": len(found),
         "max_size": args.max_size,  # minimality certified within this bound only
@@ -169,7 +168,7 @@ def cmd_m_value(args):
 
 def cmd_embed(args):
     tree = _read_poset(args.tree)
-    k = args.k if args.k else tree.n
+    k = tree.n if args.k is None else args.k
     if args.exhaustive and k > 2:  # universal_tree(3) alone has 1,291 elements
         raise BadParams(f"--exhaustive is limited to k <= 2, got k={k}")
     check_tree_pattern(tree, k)  # before the host, which may exceed the cap
@@ -294,7 +293,7 @@ def build_parser():
 
     p = sub.add_parser("embed", help="rainbow-embed a tree into a universal tree")
     p.add_argument("--tree", required=True)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, help="universal tree order (default: the tree's size)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(fn=cmd_embed)

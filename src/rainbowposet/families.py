@@ -15,9 +15,10 @@ from math import comb, factorial, lcm
 from typing import Optional
 
 from ._copies import exists_copy, plan_for
+from .catalog import order_ideals
 from .errors import BadParams, CapExceeded
 from .forcing import Coloring, _forces, has_rainbow_copy, is_proper, refuting_coloring
-from .poset import Poset, _bits
+from .poset import Poset, _bits, _read_header
 
 LA_STAR_CAP = 4
 MINMAX_CAP = 8
@@ -354,23 +355,14 @@ def greedy_pattern_free_family(n: int, pattern: Poset, rng) -> SetFamily:
 
 
 def iter_antichain_families(n: int):
-    """All antichain families of the cube (including the empty family)."""
-    masks = list(range(1 << n))
-    out = []
-
-    def rec(i, chosen):
-        if i == len(masks):
-            out.append(tuple(chosen))
-            return
-        m = masks[i]
-        if all(m & b != m and m & b != b for b in chosen):
-            chosen.append(m)
-            rec(i + 1, chosen)
-            chosen.pop()
-        rec(i + 1, chosen)
-
-    rec(0, [])
-    return [SetFamily.from_masks(n, c) for c in out]
+    """All antichain families of the cube (including the empty family), in
+    ascending order of their down-closures: an antichain is the set of
+    maximal sets of exactly one order ideal of the containment order."""
+    up, _ = _cube_rows(n)
+    return [
+        SetFamily.from_masks(n, [m for m in _bits(ideal) if not up[m] & ideal])
+        for ideal in order_ideals(Poset(up, validate=False))
+    ]
 
 
 # --- text format ----------------------------------------------------------------
@@ -394,14 +386,7 @@ def family_from_text(text: str) -> SetFamily:
         if not line or line.startswith("#"):
             continue
         if line.startswith("family"):
-            if n is not None:
-                raise BadParams("more than one family header in input")
-            fields = dict(kv.split("=", 1) for kv in line.split()[1:] if "=" in kv)
-            if "n" not in fields:
-                raise BadParams("family header is missing n=<count>")
-            if not fields["n"].isdecimal():
-                raise BadParams(f"family header n={fields['n']} is not a count")
-            n = int(fields["n"])
+            n = _read_header(line, "family", n)
             continue
         if line == "{}":
             masks.append(0)

@@ -289,12 +289,7 @@ def is_minimal_forcing(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S) -
     )
 
 
-def search_M(
-    pattern: Poset,
-    size_bound: int,
-    cap: int = DEFAULT_CAP,
-    budget_s=DEFAULT_BUDGET_S,
-):
+def search_M(pattern: Poset, size_bound: int, budget_s=DEFAULT_BUDGET_S):
     """All posets of size <= size_bound (up to isomorphism) that minimally
     rainbow-force the pattern, in canonical-key order.
 
@@ -305,12 +300,10 @@ def search_M(
         raise BadParams("every poset rainbow-forces the empty pattern")
     if size_bound < 0:
         raise BadParams(f"size bound size_bound={size_bound} is negative")
-    if size_bound > cap:
-        raise CapExceeded(f"size bound {size_bound} above enumeration cap {cap}")
     forcing = set()
     out = []
     for n in range(pattern.n, size_bound + 1):
-        for host in posets_of_size(n, cap):
+        for host in posets_of_size(n, size_bound):
             if not _forces(host, pattern, budget_s):
                 continue
             if not any(canonical_key(host.delete(x)) in forcing for x in range(n)):

@@ -482,6 +482,26 @@ def poset_to_text(p: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_header(line: str, kind: str, previous) -> int:
+    """The count of a `<kind> n=<count>` header line. `previous` is the
+    count of an earlier header of the input, or None; a second header, a
+    repeated field, or a missing or non-decimal n raises BadParams."""
+    if previous is not None:
+        raise BadParams(f"more than one {kind} header in input")
+    fields = {}
+    for kv in line.split()[1:]:
+        if "=" in kv:
+            key, value = kv.split("=", 1)
+            if key in fields:
+                raise BadParams(f"{kind} header {key}= appears more than once")
+            fields[key] = value
+    if "n" not in fields:
+        raise BadParams(f"{kind} header is missing n=<count>")
+    if not fields["n"].isdecimal():
+        raise BadParams(f"{kind} header n={fields['n']} is not a count")
+    return int(fields["n"])
+
+
 def poset_from_text(text: str) -> Poset:
     n = None
     covers = []
@@ -496,16 +516,7 @@ def poset_from_text(text: str) -> Poset:
                 labels[int(parts[1])] = parts[2]
             continue
         if line.startswith("poset"):
-            if n is not None:
-                raise BadParams("more than one poset header in input")
-            fields = dict(
-                kv.split("=", 1) for kv in line.split()[1:] if "=" in kv
-            )
-            if "n" not in fields:
-                raise BadParams("poset header is missing n=<count>")
-            if not fields["n"].isdecimal():
-                raise BadParams(f"poset header n={fields['n']} is not a count")
-            n = int(fields["n"])
+            n = _read_header(line, "poset", n)
             check_poset_size(n, f"poset header n={n}")
             continue
         if "<" in line:

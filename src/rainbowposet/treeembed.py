@@ -19,7 +19,7 @@ from typing import Optional
 from .constructions import UniversalTree
 from .errors import BadParams, NotATreePoset, PreconditionViolated
 from .forcing import Coloring, is_proper
-from .poset import Poset, _bits, is_tree_poset, make_poset, rank_partition
+from .poset import Poset, _bits, dual, is_tree_poset, make_poset, rank_partition
 
 
 # --- tree classification -----------------------------------------------------
@@ -268,16 +268,14 @@ def random_downtree_coloring(k: int, h: int, rng):
 # --- the embedding core ---------------------------------------------------------
 
 
-def _pattern_downtree(t: Poset, orientation: str = "down"):
+def _pattern_downtree(t: Poset):
     """(root, children lists, subtree sizes) of a pattern tree read as a
-    downtree: 'down' reads t as is, 'up' upside down. The root is the unique
-    maximum in that orientation; children[x] lists the elements x covers in
-    index order, and every element but the root is covered by exactly one
-    element."""
+    downtree. The root is the unique maximum; children[x] lists the elements
+    x covers in index order, and every element but the root is covered by
+    exactly one element. Callers pass an uptree as its dual."""
     if not is_tree_poset(t):
         raise NotATreePoset("pattern must be a tree poset")
-    up = t._up if orientation == "down" else t._down
-    down = t._down if orientation == "down" else t._up
+    up, down = t._up, t._down
     roots = [x for x in range(t.n) if not up[x]]
     if len(roots) != 1:
         raise PreconditionViolated("pattern needs a unique extreme element")
@@ -353,20 +351,19 @@ def check_block_properties(host, root, sizes, unusable, image):
 
 
 def embed_downtree_on_host(t: Poset, unusable, host) -> EmbeddingCertificate:
-    """Rainbow copy of the downtree t in a CompleteDowntreeHost of height
-    equal to its arity k, avoiding the unusable colors; requires
-    k >= |t| + |unusable|. The certificate is verified with the host's own
-    order."""
+    """Rainbow copy of the downtree t in a CompleteDowntreeHost, avoiding the
+    unusable colors; requires the slack at the host's root,
+    h >= |t| + (unusable colors in the host). The lemma's hypothesis, an
+    arity-k host of height k with k >= |t| + |unusable|, implies it. The
+    certificate is verified with the host's own order."""
     unusable = set(unusable)
-    if host.h != host.k:
-        raise PreconditionViolated("host must have arity equal to its height")
-    if host.k < t.n + len(unusable):
+    blocked = _blocked_below(host, 0, unusable)
+    if host.h < t.n + blocked:
         raise PreconditionViolated(
-            f"need k >= |t| + |unusable| = {t.n + len(unusable)}, host has k={host.k}"
+            f"need h >= |t| + blocked colors = {t.n + blocked}, host has h={host.h}"
         )
-    root, kids, sizes = _pattern_downtree(t, "down")
-    avoid = set(unusable)
-    image = _embed_block(root, kids, sizes, host, avoid)
+    root, kids, sizes = _pattern_downtree(t)
+    image = _embed_block(root, kids, sizes, host, set(unusable))
     check_block_properties(host, root, sizes, unusable, image)
     mapping = tuple(image[i] for i in range(t.n))
     cert = EmbeddingCertificate(mapping=mapping, colors=tuple(host.colors[v] for v in mapping))
@@ -403,22 +400,16 @@ def embed_universal(
     host = ut.poset
     mapping = {}
 
-    def embed_region(block, region, orientation, avoid):
+    def embed_region(block, region, upside_down, avoid):
         # universal_tree lists a region breadth-first, children in creation
-        # order, so region[v] is node v of a complete k-ary downtree
+        # order, so region[v] is node v of a complete k-ary downtree; an
+        # uptree block reads as its dual, with the same element indices
         view = CompleteDowntreeHost(ut.k, [coloring.colors[e] for e in region])
         blk = t.restrict(block)
-        root, kids, sizes = _pattern_downtree(blk, orientation)
-        blocked_here = _blocked_below(view, 0, avoid)
-        if view.h < len(block) + blocked_here:
-            raise PreconditionViolated(
-                "region too short for its block and blocked colors; the rank "
-                "bookkeeping for appended components does not close"
-            )
-        image_local = _embed_block(root, kids, sizes, view, avoid)
-        return {block[bi]: region[v] for bi, v in image_local.items()}
+        cert = embed_downtree_on_host(dual(blk) if upside_down else blk, avoid, view)
+        return {block[bi]: region[v] for bi, v in enumerate(cert.mapping)}
 
-    got = embed_region(meta.blocks[meta.base], ut.core, "down", set())
+    got = embed_region(meta.blocks[meta.base], ut.core, False, set())
     if got[meta.base] != ut.center:
         raise AssertionError("base did not land on the universal tree center")
     mapping.update(got)
@@ -435,22 +426,17 @@ def embed_universal(
             raise PreconditionViolated(
                 f"no appended region at host element {x_z} for block owner {z}"
             )
-        if meta.side[z] == "down":
-            orientation = "up"
+        upside_down = meta.side[z] == "down"
 
-            def separated(img):
+        def separated(img):
+            if upside_down:
                 return host.less(img, x_z) or img == x_z
-
-        else:
-            orientation = "down"
-
-            def separated(img):
-                return host.less(x_z, img) or img == x_z
+            return host.less(x_z, img) or img == x_z
 
         avoid = {
             coloring.colors[img] for img in mapping.values() if not separated(img)
         }
-        got = embed_region(block, region, orientation, avoid)
+        got = embed_region(block, region, upside_down, avoid)
         if got[z] != mapping[z]:
             raise AssertionError("region embedding moved the block owner")
         for el, img in got.items():

@@ -125,7 +125,12 @@ def test_family_commands(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["family\n1\n", "family n=x\n1\n", "family n=3\n1\nfamily n=4\n4\n"],
+    [
+        "family\n1\n",
+        "family n=x\n1\n",
+        "family n=3\n1\nfamily n=4\n4\n",
+        "family n=2 n=3\n3\n",
+    ],
 )
 def test_bad_family_header_is_a_usage_error(tmp_path, capsys, text):
     fam = tmp_path / "bad.family"
@@ -141,8 +146,13 @@ def test_bad_family_header_is_a_usage_error(tmp_path, capsys, text):
 
 @pytest.mark.parametrize(
     "text",
-    ["poset n=x\n", "poset n=100000000000000000000\n0 < 1\n"],
-    ids=["non-decimal", "10**20"],
+    [
+        "poset n=x\n",
+        "poset n=100000000000000000000\n0 < 1\n",
+        "poset n=2 n=3\n",
+        "poset n=3 n=2\n0 < 2\n",
+    ],
+    ids=["non-decimal", "10**20", "repeated-n", "repeated-n-then-cover"],
 )
 def test_bad_poset_header_is_a_usage_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.poset"
@@ -323,10 +333,12 @@ def test_zero_budget_is_valid(tmp_path, capsys):
 
 def test_embed_checks_the_pattern_before_building_the_host(tmp_path, capsys):
     # a pattern that is no tree, or too large for k, is named even where
-    # universal_tree(k) would exceed the size cap
+    # universal_tree(k) would exceed the size cap; k = 0 is an order too
     for params, k, message in [
         (["diamond"], [], "classification needs a tree poset"),
         (["chain", "3"], ["--k", "2"], "pattern larger than the universal tree order"),
+        (["chain", "2"], ["--k", "0"], "pattern larger than the universal tree order"),
+        (["chain", "2"], ["--k", "-1"], "pattern larger than the universal tree order"),
         (["chain", "4"], [], "universal_tree(4) exceeds the cap of 4096 elements"),
     ]:
         path = str(tmp_path / "pattern.poset")

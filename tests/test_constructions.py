@@ -172,7 +172,7 @@ def test_a3_witness():
 class TestUniversalTree:
     # sha256 of the repr of each part of universal_tree(k), so that a change
     # to the construction that moves an element, a cover arc or a tag shows;
-    # k = 4 is past the 100,000-element cap.
+    # k = 4 (26,980,837 elements) is past the 4,096-element POSET_CAP.
     PINS = {
         1: {
             "up": "91d6039a01f57163ec02db197e5481ffc170187e262006fa833b26f0cc064633",

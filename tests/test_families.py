@@ -23,6 +23,7 @@ from rainbowposet import (
     harp,
     has_rainbow_copy,
     height,
+    iter_antichain_families,
     la_rainbow_star,
     la_star,
     lubell_mass,
@@ -90,6 +91,13 @@ class TestSperner:
                 rest ^= low
             fam = family_poset(SetFamily(4, tuple(masks)))
             assert sum((weight[m] for m in masks), Fraction(0)) <= height(fam)
+
+    def test_antichain_families_are_counted_by_dedekind(self):
+        for n, count in enumerate((2, 3, 6, 20, 168)):
+            fams = iter_antichain_families(n)
+            assert len(fams) == len({f.sets for f in fams}) == count
+            for f in fams:
+                assert all(a & b not in (a, b) for a in f.sets for b in f.sets if a != b)
 
 
 class TestMinMax:

@@ -126,6 +126,14 @@ class TestEmbedDowntree:
         cert = embed_on_downtree(downtree(2, 2), set(), 3, self.rank_coloring(host))
         assert len(set(cert.colors)) == 3
 
+    def test_host_height_below_its_arity(self):
+        # the precondition is the slack at the root, h >= |t| + blocked
+        # colors, not a host whose height equals its arity
+        host = CompleteDowntreeHost(3, [0, 1, 1, 1])
+        assert host.h == 2
+        cert = embed_downtree_on_host(chain(2), set(), host)
+        assert verify_certificate(host, host.colors, chain(2), cert)
+
     def test_rejects_short_host(self):
         host = downtree(2, 2)
         with pytest.raises(PreconditionViolated):
@@ -353,6 +361,26 @@ class TestEmbedUniversal:
             certs.extend(embed_universal(t, ut, coloring) for t in trees)
         digest = hashlib.sha256(repr([(c.mapping, c.colors) for c in certs]).encode())
         assert digest.hexdigest() == UNIVERSAL_DIGEST
+
+    def test_every_block_goes_through_the_downtree_embedder(self, monkeypatch):
+        # the vee's second block grows up from its bottom element, so it is
+        # embedded as its dual; order 3 is the least that fits the vee
+        ut = universal_tree(3)
+        coloring = random_proper_coloring(ut.poset, random.Random(0))
+        meta = classify_tree(vee())
+        # one call for the base block, one for every other block of two or more
+        expected = [len(b) for z, b in meta.blocks.items() if z == meta.base or len(b) > 1]
+        sizes = []
+        real = treeembed.embed_downtree_on_host
+
+        def spy(t, unusable, host):
+            sizes.append(t.n)
+            return real(t, unusable, host)
+
+        monkeypatch.setattr(treeembed, "embed_downtree_on_host", spy)
+        cert = embed_universal(vee(), ut, coloring)
+        assert sorted(sizes) == sorted(expected) == [2, 2]
+        assert verify_certificate(ut.poset, coloring.colors, vee(), cert)
 
     def test_rejects_oversized_pattern(self):
         with pytest.raises(PreconditionViolated):
