@@ -381,21 +381,26 @@ def family_to_text(f: SetFamily) -> str:
 def family_from_text(text: str) -> SetFamily:
     n = None
     masks = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("family"):
+        if line.split()[0] == "family":
             n = _read_header(line, "family", n)
             continue
         if line == "{}":
             masks.append(0)
             continue
+        try:
+            elements = [int(part) for part in line.split(",")]
+        except ValueError:
+            raise BadParams(
+                f"family text line {number}: {line!r} is not a set '1,2,...' or '{{}}'"
+            ) from None
         mask = 0
-        for part in line.split(","):
-            e = int(part)
+        for e in elements:
             if n is None or not 1 <= e <= n:
-                raise BadParams(f"element {part} outside the ground set")
+                raise BadParams(f"family text line {number}: element {e} outside the ground set")
             mask |= 1 << (e - 1)
         masks.append(mask)
     if n is None:

@@ -9,14 +9,13 @@ copy (copies survive every extension, so the prune is sound).
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from ._copies import exists_copy, plan_for
-from .errors import BadParams, CapExceeded, ForcingTimeout, PreconditionViolated
+from .errors import BadParams, ForcingTimeout, PreconditionViolated
 from .poset import Poset, canonical_key, dual, linear_sum, perp_value, rank_partition
 from .catalog import DEFAULT_CAP, posets_of_size
 
@@ -144,112 +143,102 @@ def _deadline(budget_s):
     return time.monotonic() + budget_s
 
 
-def _refute(search, i, assigned, greedy):
-    """Color the elements order[i:] so that no rainbow copy arises, given
-    the proper coloring `colors` of the elements in `assigned`; True when
-    that succeeds, with the first such coloring (in search order) left in
-    `colors`.
-
-    Each element tries the feasible existing colors in order, then one
-    fresh color, and a branch dies as soon as a rainbow copy holds the
-    element just colored. A copy that is rainbow with an existing color
-    stays rainbow with a fresh one, and a copy found with any color stays
-    rainbow under every color that its other elements do not use. So one
-    copy search with the fresh color decides most colors, and only those
-    on the copy it finds get a search of their own. `greedy` holds until
-    the search first backtracks: until then the first feasible color
-    usually completes a refutation, so it is searched first, and a copy
-    it holds decides the others in place of the fresh color's.
-    """
-    up, down, n, plan, order, comp, colors, classes, ticks, deadline, budget_s = search
-    if next(ticks) & 255 == 0 and time.monotonic() > deadline:
-        raise ForcingTimeout(f"forcing search exceeded its {budget_s:g}s budget")
-    if i == n:
-        return True
-    e = order[i]
-    bit = 1 << e
-    assigned |= bit
-    fresh = len(classes)
-    start = 0  # the colors below it are decided
-    copy = None
-    if greedy:
-        for c in range(fresh):
-            if not classes[c] & comp[e]:
-                start = c + 1
-                colors[e] = c
-                copy = exists_copy(up, down, plan, active=assigned, colors=colors, anchor=e)
-                if copy is None:
-                    classes[c] |= bit
-                    if _refute(search, i + 1, assigned, True):
-                        return True
-                    classes[c] ^= bit
-                    greedy = False
-                break
-    if copy is None:
-        colors[e] = fresh
-        copy = exists_copy(up, down, plan, active=assigned, colors=colors, anchor=e)
-    if copy is None:  # no color of e completes a rainbow copy
-        tried = range(start, fresh + 1)
-    else:  # it stays rainbow under every color its other elements do not use
-        tried = sorted({colors[x] for x in copy[1:] if colors[x] >= start})
-    for c in tried:
-        if c == fresh:
-            classes.append(0)
-        elif classes[c] & comp[e]:
-            continue
-        colors[e] = c
-        if copy is not None and exists_copy(
-            up, down, plan, active=assigned, colors=colors, anchor=e
-        ):
-            continue
-        classes[c] |= bit
-        if _refute(search, i + 1, assigned, greedy):
-            return True
-        classes[c] ^= bit
-        greedy = False
-    del classes[fresh:]
-    return False
-
-
 def refuting_coloring(
     host: Poset, pattern: Poset, budget_s: Optional[float] = DEFAULT_BUDGET_S
 ) -> Optional[Coloring]:
     """First (in canonical search order) proper coloring of host without a
     rainbow induced copy of pattern; None when exhaustive search proves the
-    host rainbow-forces the pattern.
+    host rainbow-forces the pattern. A negative or NaN budget raises
+    BadParams; None means no budget. Every coloring holds the empty
+    pattern, so nothing refutes it.
 
-    Elements are colored in rank-then-index order (see `_refute`), one
-    recursion level each, so a host deeper than the interpreter's stack
-    raises CapExceeded. A negative or NaN budget raises BadParams; None
-    means no budget. Every coloring holds the empty pattern, so nothing
-    refutes it.
+    One loop colors the elements in rank-then-index order, with one frame
+    per colored element on a list, so no host is too deep to search. Each
+    element tries the feasible existing colors in ascending order, then one
+    fresh color, and a branch dies as soon as a rainbow copy holds the
+    element just colored. A copy that is rainbow with an existing color
+    stays rainbow with a fresh one, and a copy found with any color stays
+    rainbow under every color that its other elements do not use. So one
+    copy search with the fresh color decides most colors, and only those on
+    the copy it finds get a search of their own. `greedy` holds until the
+    search first backtracks: until then the first feasible color usually
+    completes a refutation, so it is searched first, and a copy it holds
+    decides the others in place of the fresh color's. The clock is read at
+    every 256th node.
     """
     deadline = _deadline(budget_s)
     if pattern.n == 0:
         return None
     n = host.n
+    up, down, plan = host._up, host._down, plan_for(pattern)
     rank = rank_partition(host).rank
     order = sorted(range(n), key=lambda x: (rank[x], x))
     comp = [host.up_mask(x) | host.down_mask(x) for x in range(n)]
     colors = [0] * n
-    search = (
-        host._up,
-        host._down,
-        n,
-        plan_for(pattern),
-        order,
-        comp,
-        colors,
-        [],  # one bitmask of elements per color
-        itertools.count(1),  # node ticks: the clock is read every 256 nodes
-        deadline,
-        budget_s,
-    )
-    try:
-        refuted = _refute(search, 0, 0, True)
-    except RecursionError:
-        raise CapExceeded(f"a {n}-element host is too deep for the forcing search") from None
-    return Coloring.from_values(colors) if refuted else None
+    classes = []  # one bitmask of elements per color
+    # per colored element: (element, fresh color, first undecided color,
+    # the copy that decided its colors, an iterator over the colors left)
+    frames = []
+    backtrack = False  # whether the child of the last frame failed
+    assigned = 0  # the colored elements and the one being colored
+    greedy = True
+    nodes = 0
+    while True:
+        if backtrack:  # take back the color under which the child failed
+            e, fresh, start, copy, tried = frames.pop()
+            bit = 1 << e
+            classes[colors[e]] ^= bit
+            greedy = False
+        else:
+            nodes += 1
+            if not nodes & 255 and time.monotonic() > deadline:
+                raise ForcingTimeout(f"forcing search exceeded its {budget_s:g}s budget")
+            i = len(frames)
+            if i == n:
+                return Coloring.from_values(colors)
+            e = order[i]
+            bit = 1 << e
+            assigned |= bit
+            fresh, start, copy, tried = len(classes), 0, None, None
+            if greedy:
+                for c in range(fresh):
+                    if not classes[c] & comp[e]:
+                        colors[e], start = c, c + 1
+                        copy = exists_copy(
+                            up, down, plan, active=assigned, colors=colors, anchor=e
+                        )
+                        break
+                if start and copy is None:  # go on with the first feasible color
+                    classes[start - 1] |= bit
+                    frames.append((e, fresh, start, None, None))
+                    continue
+        if tried is None:
+            if copy is None:
+                colors[e] = fresh
+                copy = exists_copy(up, down, plan, active=assigned, colors=colors, anchor=e)
+            if copy is None:  # no color of e completes a rainbow copy
+                tried = iter(range(start, fresh + 1))
+            else:  # it stays rainbow under every color its other elements do not use
+                tried = iter(sorted({colors[x] for x in copy[1:] if colors[x] >= start}))
+        for c in tried:
+            if c == fresh:
+                classes.append(0)
+            elif classes[c] & comp[e]:
+                continue
+            colors[e] = c
+            if copy is None or not exists_copy(
+                up, down, plan, active=assigned, colors=colors, anchor=e
+            ):
+                classes[c] |= bit
+                frames.append((e, fresh, start, copy, tried))
+                backtrack = False
+                break
+        else:  # no color of e is left
+            del classes[fresh:]
+            assigned ^= bit
+            if not frames:
+                return None
+            backtrack = True
 
 
 def _forces(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S) -> bool:

@@ -506,7 +506,7 @@ def poset_from_text(text: str) -> Poset:
     n = None
     covers = []
     labels = {}
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -515,15 +515,15 @@ def poset_from_text(text: str) -> Poset:
             if len(parts) == 3 and parts[0] == "label" and parts[1].isdigit():
                 labels[int(parts[1])] = parts[2]
             continue
-        if line.startswith("poset"):
+        if line.split()[0] == "poset":
             n = _read_header(line, "poset", n)
             check_poset_size(n, f"poset header n={n}")
             continue
-        if "<" in line:
-            a, b = line.split("<", 1)
+        a, _, b = line.partition("<")
+        try:
             covers.append((int(a), int(b)))
-            continue
-        raise BadParams(f"unrecognized line in poset text: {raw!r}")
+        except ValueError:
+            raise BadParams(f"poset text line {number}: {line!r} is not a cover 'a < b'") from None
     if n is None:
         raise BadParams("missing poset header")
     label_tuple = None

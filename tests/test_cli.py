@@ -167,6 +167,30 @@ def test_bad_poset_header_is_a_usage_error(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["forces", "{f}", "{f}"], "posetry n=2\n0 < 1\n", "poset text line 1: 'posetry n=2'"),
+        (["forces", "{f}", "{f}"], "poset n=3\n0 < 1 < 2\n", "poset text line 2: '0 < 1 < 2'"),
+        (["lubell", "{f}"], "families n=2\n1\n", "family text line 1: 'families n=2'"),
+        (["lubell", "{f}"], "family n=2\n1,x\n", "family text line 2: '1,x'"),
+    ],
+    ids=["posetry-header", "two-covers", "families-header", "non-integer-element"],
+)
+def test_a_malformed_line_is_named_with_its_format_and_number(
+    tmp_path, capsys, argv, text, message
+):
+    # a header is a line whose first word is exactly `poset` or `family`;
+    # any other line is a body line, and one that does not parse is named
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code = main([a.format(f=path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    shape = "is not a cover 'a < b'" if argv[0] == "forces" else "is not a set '1,2,...' or '{}'"
+    assert captured.err == f"error: {message} {shape}\n"
+
+
+@pytest.mark.parametrize(
     "params",
     [
         ["antichain", "100000000000000000000"],
@@ -365,12 +389,13 @@ def test_embed_exhaustive_is_limited_to_k_2(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["forces", "minimal"])
-def test_a_host_deeper_than_the_stack_is_a_usage_error(tmp_path, capsys, command):
-    # The forcing search recurses once per host element. A 1,100-element
+def test_a_host_deeper_than_the_stack_decides(tmp_path, capsys, command):
+    # The forcing search keeps one frame per colored element on a list, so
+    # its depth is not bounded by the interpreter's stack. A 1,100-element
     # chain refutes the 2-antichain only at full depth; for `minimal` a
     # second element beside element 1 gives the host the copy of the
-    # pattern that the search needs before it runs. A 900-element chain
-    # still decides.
+    # pattern that the search needs before it runs.
+    assert sys.getrecursionlimit() < 1100
     pattern = str(tmp_path / "a2.poset")
     run_cli(capsys, "construct", "antichain", "2", "-o", pattern)
     covers = [f"{x} < {x + 1}" for x in range(1099)]
@@ -379,14 +404,11 @@ def test_a_host_deeper_than_the_stack_is_a_usage_error(tmp_path, capsys, command
     n = 1100 + (command == "minimal")
     host = tmp_path / "deep.poset"
     host.write_text(f"poset n={n}\n" + "\n".join(covers) + "\n")
-    code = main([command, str(host), pattern])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == f"error: a {n}-element host is too deep for the forcing search\n"
-    chain900 = str(tmp_path / "c900.poset")
-    run_cli(capsys, "construct", "chain", "900", "-o", chain900)
-    code, out = run_cli(capsys, command, chain900, pattern)
-    assert code == 0 and json.loads(out)[command] is False
+    code, out = run_cli(capsys, command, str(host), pattern)
+    payload = json.loads(out)
+    assert code == 0 and payload[command] is False
+    if command == "forces":
+        assert payload["refutation"] == list(range(1100))
 
 
 INPUT_TOKENS = [

@@ -237,6 +237,35 @@ class TestForcing:
                 digest.update(repr((v.forces, refutation)).encode())
         assert digest.hexdigest() == REFUTE_DIGEST
 
+    @pytest.mark.parametrize(
+        "deleted, calls, found",
+        [(None, 1028, 465), ("t'_3", 1028, 465), ("b'_0", 29, 7)],
+        ids=["o_jk(2,4)", "t'_3-deleted", "b'_0-deleted"],
+    )
+    def test_search_path_is_pinned(self, monkeypatch, deleted, calls, found):
+        # The copy searches the forcing search makes, all and those that
+        # find a copy: the greedy first color and the one search under the
+        # fresh color decide most colors, which the verdicts alone do not
+        # show. A refutation adds the one re-check of `has_rainbow_copy`.
+        from rainbowposet import forcing
+
+        counts = [0, 0]
+        exists_copy = forcing.exists_copy
+
+        def counted(*args, **kwargs):
+            copy = exists_copy(*args, **kwargs)
+            counts[0] += 1
+            counts[1] += copy is not None
+            return copy
+
+        monkeypatch.setattr(forcing, "exists_copy", counted)
+        host = o_jk(2, 4)
+        if deleted is not None:
+            host = host.delete(host.labels.index(deleted))
+        verdict = rainbow_forces(host, antichain(4))
+        assert verdict.forces == (deleted != "b'_0")
+        assert counts == [calls, found]
+
     def test_matches_brute_force(self):
         # Forcing by its definition: every proper coloring holds a rainbow
         # copy among the element subsets that induce the pattern.
