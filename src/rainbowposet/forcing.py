@@ -4,7 +4,8 @@ A host Q rainbow-forces a pattern P when every proper coloring of Q contains
 an induced copy of P with pairwise-distinct colors. The decision procedure
 searches proper colorings in a canonical form that kills color-renaming
 symmetry, pruning any branch whose colored prefix already holds a rainbow
-copy (copies survive every extension, so the prune is sound).
+copy (copies survive every extension, so the prune is sound) and any branch
+that cannot hold the first refuting coloring.
 """
 
 from __future__ import annotations
@@ -63,17 +64,17 @@ class ForcingVerdict:
 
 
 def is_proper(p: Poset, coloring: Coloring) -> bool:
+    """No two comparable elements share a color: each element's up row
+    misses its own color class."""
     cols = coloring.colors
     if len(cols) != p.n:
         raise PreconditionViolated("coloring does not cover every element")
-    for x in range(p.n):
-        ux = p.up_mask(x)
-        while ux:
-            low = ux & -ux
-            y = low.bit_length() - 1
-            ux ^= low
-            if cols[x] == cols[y]:
-                return False
+    classes = [0] * coloring.num_colors
+    for x, c in enumerate(cols):
+        classes[c] |= 1 << x
+    for row, c in zip(p._up, cols):
+        if row & classes[c]:
+            return False
     return True
 
 
@@ -143,6 +144,43 @@ def _deadline(budget_s):
     return time.monotonic() + budget_s
 
 
+def _previous_twins(up, down, order):
+    """Per element, the last element before it along `order` with the same
+    up and down rows (its twin), or -1."""
+    twin, last = [-1] * len(order), {}
+    for x in order:
+        rows = up[x], down[x]
+        twin[x] = last.get(rows, -1)
+        last[rows] = x
+    return twin
+
+
+def _never_linked(classes, reach, comp, free):
+    """Whether two color classes A < B have no comparable pair between them
+    in any completion of a partial coloring. reach[c] holds the elements
+    comparable to a member of class c, and free the uncolored elements. An
+    unlinked pair can still be linked by (i) a free element in reach[B] but
+    not reach[A], which may join A, (ii) the mirror case, which may join B,
+    or (iii) a comparable pair of free elements outside reach[A] and
+    reach[B]. Once (i) and (ii) fail, those two sets of free elements are
+    one, so (iii) asks for a comparable pair inside it."""
+    for b in range(1, len(classes)):
+        rb = reach[b]
+        for a in range(b):
+            ra = reach[a]
+            if classes[a] & rb or free & (ra ^ rb):
+                continue
+            loose = rest = free & ~ra
+            while rest:
+                low = rest & -rest
+                if comp[low.bit_length() - 1] & loose:
+                    break
+                rest ^= low
+            else:
+                return True
+    return False
+
+
 def refuting_coloring(
     host: Poset, pattern: Poset, budget_s: Optional[float] = DEFAULT_BUDGET_S
 ) -> Optional[Coloring]:
@@ -165,6 +203,24 @@ def refuting_coloring(
     completes a refutation, so it is searched first, and a copy it holds
     decides the others in place of the fresh color's. The clock is read at
     every 256th node.
+
+    Colors are tried in ascending order, so the refutation found is the
+    lexicographically first restricted-growth string along the order, and
+    a branch may be cut when each refutation in it has a smaller one. Two
+    cuts do so, and run only after the first backtrack, which sets them up:
+    a search that never backtracks pays nothing for them.
+    - Merge: if two classes A < B of a refutation have no comparable pair
+      between them, merging B into A is still proper and still has no
+      rainbow copy (a merge never makes a copy rainbow), and it is smaller
+      at B's first element. So the first refutation links every pair of
+      classes, and a node where some pair can no longer be linked
+      (`_never_linked`) is cut.
+    - Twins (equal up and down rows): giving one twin the other's color
+      keeps a refutation, since a copy through one twin maps to a copy
+      through the other with the same colors. Giving the twin with the
+      larger color the smaller one makes the coloring smaller there. So the
+      first refutation gives twins one color, and a twin tries only the
+      color of the twin before it along the order.
     """
     deadline = _deadline(budget_s)
     if pattern.n == 0:
@@ -174,6 +230,7 @@ def refuting_coloring(
     rank = rank_partition(host).rank
     order = sorted(range(n), key=lambda x: (rank[x], x))
     comp = [host.up_mask(x) | host.down_mask(x) for x in range(n)]
+    everything = (1 << n) - 1
     colors = [0] * n
     classes = []  # one bitmask of elements per color
     # per colored element: (element, fresh color, first undecided color,
@@ -185,10 +242,19 @@ def refuting_coloring(
     nodes = 0
     while True:
         if backtrack:  # take back the color under which the child failed
+            if greedy:  # the first backtrack sets up the two cuts
+                greedy = False
+                twin = _previous_twins(up, down, order)
+                # per color, the elements comparable to a member; per colored
+                # element, its class's reach before it joined
+                reach, before = [0] * n, [0] * n
+                for x in order[: len(frames)]:
+                    c = colors[x]
+                    before[x], reach[c] = reach[c], reach[c] | comp[x]
             e, fresh, start, copy, tried = frames.pop()
             bit = 1 << e
             classes[colors[e]] ^= bit
-            greedy = False
+            reach[colors[e]] = before[e]
         else:
             nodes += 1
             if not nodes & 255 and time.monotonic() > deadline:
@@ -196,6 +262,9 @@ def refuting_coloring(
             i = len(frames)
             if i == n:
                 return Coloring.from_values(colors)
+            if not greedy and _never_linked(classes, reach, comp, everything ^ assigned):
+                backtrack = True
+                continue
             e = order[i]
             bit = 1 << e
             assigned |= bit
@@ -212,6 +281,11 @@ def refuting_coloring(
                     classes[start - 1] |= bit
                     frames.append((e, fresh, start, None, None))
                     continue
+        if tried is None and not greedy and twin[e] >= 0:
+            # the first refutation gives twins one color: e tries only its
+            # twin's, with a copy search of its own
+            c = colors[twin[e]]
+            copy, tried = (), iter((c,) if c >= start else ())
         if tried is None:
             if copy is None:
                 colors[e] = fresh
@@ -230,6 +304,8 @@ def refuting_coloring(
                 up, down, plan, active=assigned, colors=colors, anchor=e
             ):
                 classes[c] |= bit
+                if not greedy:
+                    before[e], reach[c] = reach[c], reach[c] | comp[e]
                 frames.append((e, fresh, start, copy, tried))
                 backtrack = False
                 break

@@ -11,6 +11,7 @@ from rainbowposet import (
     BadParams,
     Coloring,
     ForcingTimeout,
+    Poset,
     PreconditionViolated,
     antichain,
     are_isomorphic,
@@ -65,6 +66,24 @@ class TestColoring:
             for p in posets_of_size(n):
                 layer = Coloring.from_values(rank_partition(p).rank)
                 assert is_proper(p, layer)
+
+    def test_is_proper_matches_pairwise_definition(self):
+        rng = random.Random(44)
+        verdicts = set()
+        for p in random_labeled_posets(count=200, seed=44):
+            for _ in range(6):
+                c = Coloring.from_values([rng.randrange(p.n) for _ in range(p.n)])
+                pairwise = all(
+                    c.colors[x] != c.colors[y]
+                    for x in range(p.n)
+                    for y in range(p.n)
+                    if p.less(x, y)
+                )
+                assert is_proper(p, c) == pairwise
+                verdicts.add(pairwise)
+        assert verdicts == {True, False}
+        with pytest.raises(PreconditionViolated, match="does not cover every element"):
+            is_proper(chain(3), Coloring((0, 1)))
 
     def test_random_coloring_proper(self):
         rng = random.Random(5)
@@ -239,14 +258,15 @@ class TestForcing:
 
     @pytest.mark.parametrize(
         "deleted, calls, found",
-        [(None, 1028, 465), ("t'_3", 1028, 465), ("b'_0", 29, 7)],
+        [(None, 916, 409), ("t'_3", 916, 409), ("b'_0", 21, 3)],
         ids=["o_jk(2,4)", "t'_3-deleted", "b'_0-deleted"],
     )
     def test_search_path_is_pinned(self, monkeypatch, deleted, calls, found):
         # The copy searches the forcing search makes, all and those that
-        # find a copy: the greedy first color and the one search under the
-        # fresh color decide most colors, which the verdicts alone do not
-        # show. A refutation adds the one re-check of `has_rainbow_copy`.
+        # find a copy: the greedy first color, the one search under the
+        # fresh color and the merge and twin cuts after the first backtrack
+        # decide most colors, which the verdicts alone do not show. A
+        # refutation adds the one re-check of `has_rainbow_copy`.
         from rainbowposet import forcing
 
         counts = [0, 0]
@@ -377,3 +397,123 @@ def test_blowup_forces_small():
         for p in posets_of_size(n):
             for pi in itertools.permutations(range(n)):
                 assert rainbow_forces(blowup(p, pi), p).forces
+
+
+def _first_refutation(host, copies):
+    """The first proper coloring with no rainbow copy among `copies`, or
+    None: colorings are restricted-growth strings along the rank-then-index
+    order (rank 1 for the minimal elements), in lexicographic order, and
+    the answer is relabeled in index order."""
+    n = host.n
+    rank = {}
+
+    def rank_of(x):
+        if x not in rank:
+            rank[x] = 1 + max((rank_of(y) for y in range(n) if host.less(y, x)), default=0)
+        return rank[x]
+
+    order = sorted(range(n), key=lambda x: (rank_of(x), x))
+    cols = [None] * n
+
+    def first(i, used):
+        if i == n:
+            if any(len({cols[x] for x in copy}) == len(copy) for copy in copies):
+                return None
+            names = {}
+            return tuple(names.setdefault(c, len(names)) for c in cols)
+        x = order[i]
+        for c in range(used + 1):
+            if all(cols[y] != c for y in order[:i] if host.comparable(x, y)):
+                cols[x] = c
+                found = first(i + 1, max(used, c + 1))
+                if found is not None:
+                    return found
+        cols[x] = None
+        return None
+
+    return first(0, 0)
+
+
+class TestFirstRefutation:
+    """The search returns the lexicographically first refutation, and the
+    merge and twin cuts after its first backtrack keep it."""
+
+    CASES = [
+        (host, pattern)
+        for host in random_labeled_posets(count=120, seed=2203)
+        if 2 <= host.n <= 7
+        for pattern in PATTERNS
+        if pattern.n <= host.n
+    ] + [
+        # a merge cut without clause (iii) of `_never_linked` misses the
+        # first refutation on these, and on no host of at most 7 elements
+        (Poset(host), Poset(pattern))
+        for host, pattern in [
+            ((136, 208, 224, 0, 0, 192, 128, 0), (0, 8, 8, 0)),
+            ((136, 208, 224, 0, 0, 192, 128, 0), (8, 12, 0, 0)),
+            ((144, 252, 0, 224, 0, 0, 128, 0), (0, 12, 0, 0)),
+        ]
+    ]
+
+    def _decide_all(self, monkeypatch):
+        from rainbowposet import forcing
+
+        calls = [0]
+        exists_copy = forcing.exists_copy
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return exists_copy(*args, **kwargs)
+
+        monkeypatch.setattr(forcing, "exists_copy", counted)
+        out = []
+        for host, pattern in self.CASES:
+            refutation = rainbow_forces(host, pattern).refutation
+            out.append(refutation and refutation.colors)
+        return out, calls[0]
+
+    def test_matches_plain_enumeration(self, monkeypatch):
+        found, _ = self._decide_all(monkeypatch)
+        expected = [
+            _first_refutation(host, naive_induced_copies(host, pattern))
+            for host, pattern in self.CASES
+        ]
+        assert found == expected
+        assert 0 < found.count(None) < len(found)
+
+    def test_both_cuts_fire_and_keep_every_refutation(self, monkeypatch):
+        from rainbowposet import forcing
+
+        found, calls = self._decide_all(monkeypatch)
+        monkeypatch.setattr(forcing, "_never_linked", lambda *args: False)
+        no_merge, no_merge_calls = self._decide_all(monkeypatch)
+        monkeypatch.undo()
+        monkeypatch.setattr(forcing, "_previous_twins", lambda up, down, order: [-1] * len(order))
+        no_twins, no_twin_calls = self._decide_all(monkeypatch)
+        assert no_merge == found == no_twins
+        assert calls < no_merge_calls and calls < no_twin_calls
+        # pinned, so that a weaker cut (a twin floor in place of its twin's
+        # one color, say) shows although it keeps every answer
+        assert calls == 10440
+
+    def test_cuts_are_set_up_only_after_a_backtrack(self, monkeypatch):
+        # A search that never backtracks pays nothing for the cuts; one that
+        # does sets them up once.
+        from rainbowposet import forcing
+
+        setups = []
+        previous_twins = forcing._previous_twins
+
+        def counted(up, down, order):
+            setups.append(len(order))
+            return previous_twins(up, down, order)
+
+        monkeypatch.setattr(forcing, "_previous_twins", counted)
+        monkeypatch.setattr(forcing, "_never_linked", None)  # must not be called
+        assert refuting_coloring(antichain(4), antichain(2)).colors == (0, 0, 0, 0)
+        assert refuting_coloring(chain(3), vee()).colors == (0, 1, 2)
+        assert setups == []
+        monkeypatch.undo()
+        monkeypatch.setattr(forcing, "_previous_twins", counted)
+        assert refuting_coloring(organ(2), antichain(2)) is None
+        assert setups == [organ(2).n]
