@@ -75,8 +75,13 @@ def family_poset(f: SetFamily) -> Poset:
 
 
 def lubell_mass(f: SetFamily) -> Fraction:
+    """Sum over the family's sets of 1 / C(n, |set|), one term per layer:
+    count_s / C(n, s) over the sizes s that occur."""
+    counts = [0] * (f.n + 1)
+    for m in f.sets:
+        counts[m.bit_count()] += 1
     return sum(
-        (Fraction(1, comb(f.n, m.bit_count())) for m in f.sets), Fraction(0)
+        (Fraction(c, comb(f.n, s)) for s, c in enumerate(counts) if c), Fraction(0)
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -213,7 +214,12 @@ class CompleteDowntreeHost:
 
 def _color_in_subtree(colors, k: int, v: int, c) -> bool:
     """Whether c occurs at v or below it in the breadth-first k-ary downtree
-    `colors`, scanning the run lo..hi that v's subtree covers per level."""
+    `colors`. The host stores nothing per node but this list, so the test
+    scans it: the run lo..hi that v's subtree covers on each level, one
+    slice per level. The root's subtree is the whole list, so the root is
+    answered by `c in colors`, with no slice copied."""
+    if v == 0:
+        return c in colors
     lo = hi = v
     size = len(colors)
     while lo < size:
@@ -224,33 +230,49 @@ def _color_in_subtree(colors, k: int, v: int, c) -> bool:
     return False
 
 
+def _shuffled_range(size: int, rng) -> array:
+    """range(size) as an array('i') of machine ints, in the order that
+    rng.shuffle gives a list of it, leaving rng in the same state. This is
+    random.Random.shuffle inlined: the same getrandbits draws as its
+    rejection sampler, without a Python call per element. i runs down in
+    stretches that share the bit length of i + 1, so each stretch draws
+    with one bit count."""
+    order = array("i", range(size))
+    swap = memoryview(order)  # its items are set faster than the array's
+    getrandbits = rng.getrandbits
+    for bits in range(size.bit_length(), 1, -1):
+        # every i with (i + 1).bit_length() == bits, downward
+        for i in range(min(size - 1, (1 << bits) - 2), (1 << (bits - 1)) - 2, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            swap[i], swap[j] = swap[j], swap[i]
+    return order
+
+
 def random_downtree_coloring(k: int, h: int, rng):
     """Proper breadth-first coloring of the complete k-ary downtree of
     height h, drawn from the `random.Random` rng: elements in random order
     (the order rng.shuffle gives), color uniform over feasible existing
     colors plus one fresh color, by rejection. A drawn existing color is
-    rejected if an ancestor or, for an inner node, its subtree has it."""
+    rejected if an ancestor or, for an inner node, its subtree has it.
+
+    The host holds nothing per node but the returned list of colors: the
+    shuffled order is an array of machine ints, and every node of color r
+    holds palette[r], the one int object of that color."""
     if k < 1 or h < 1:
         raise BadParams("host needs k, h >= 1")
     size = sum(k**d for d in range(h))
-    # rng.shuffle(order), inlined: the same getrandbits draws as
-    # random.Random's rejection sampler, without a Python call per element
-    order = list(range(size))
-    getrandbits = rng.getrandbits
-    for i in range(size - 1, 0, -1):
-        bits = (i + 1).bit_length()
-        j = getrandbits(bits)
-        while j > i:
-            j = getrandbits(bits)
-        order[i], order[j] = order[j], order[i]
     colors = [-1] * size
+    palette = []  # palette[r] is color r's one int object
     num = 0
     rnd = rng.random
     leaves = size - k ** (h - 1)
-    for e in order:
+    for e in _shuffled_range(size, rng):
         while True:
             r = int(rnd() * (num + 1))
             if r >= num:
+                palette.append(r)
                 num += 1
                 break
             a = e
@@ -261,7 +283,7 @@ def random_downtree_coloring(k: int, h: int, rng):
             else:  # no ancestor has r; a leaf has no subtree to scan
                 if e >= leaves or not _color_in_subtree(colors, k, e, r):
                     break
-        colors[e] = r
+        colors[e] = palette[r]
     return colors
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,20 @@ class TestBasics:
             4, [[], [1], [2], [1, 2], [1, 2, 3], [1, 2, 4], [1, 2, 3, 4]]
         )
         assert lubell_mass(tight) == Fraction(19, 6)
+
+    def test_mass_is_the_plain_sum_over_sets(self):
+        # lubell_mass sums one term per layer; the definition is one term
+        # per set
+        rng = random.Random("lubell")
+        for n in range(9):
+            for _ in range(20):
+                masks = [m for m in range(1 << n) if rng.random() < rng.random()]
+                f = SetFamily.from_masks(n, masks)
+                plain = sum(
+                    (Fraction(1, comb(n, m.bit_count())) for m in f.sets), Fraction(0)
+                )
+                assert lubell_mass(f) == plain, (n, f.sets)
+            assert lubell_mass(SetFamily.from_masks(n, [])) == 0
 
     def test_sigma(self):
         assert sigma(4, 1) == 6

@@ -4,6 +4,7 @@ import hashlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -253,6 +254,33 @@ class TestArithmeticHost:
             CompleteDowntreeHost(1, [])
         with pytest.raises(BadParams):
             CompleteDowntreeHost(0, [0])
+
+    def test_shuffle_matches_random_shuffle(self):
+        # the inlined shuffle gives random.Random.shuffle's permutation and
+        # leaves the generator where shuffle leaves it
+        for seed in range(3):
+            for size in range(1, 601):
+                want, got = random.Random(seed), random.Random(seed)
+                order = list(range(size))
+                want.shuffle(order)
+                assert list(treeembed._shuffled_range(size, got)) == order, (seed, size)
+                assert got.getstate() == want.getstate(), (seed, size)
+
+    def test_one_int_object_per_color(self):
+        cols = random_downtree_coloring(7, 7, random.Random("one-object"))
+        assert len({id(c) for c in cols}) == len(set(cols))
+
+    def test_coloring_memory(self):
+        # a k = 7 host (137,257 nodes) holds its colors list and little else:
+        # about 1.8 MB traced on Python 3.11, against about 8 MB with a list
+        # order and a fresh int per draw
+        tracemalloc.start()
+        try:
+            random_downtree_coloring(7, 7, random.Random("memory"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_coloring_rejects_empty_shapes(self):
         for k, h in ((0, 3), (3, 0)):
