@@ -56,6 +56,20 @@ def _posets_of_size(n: int):
     maps down(x) to an order ideal of Q. Removing a maximal element changes
     no other down-set, so the candidate built from Q and that ideal is
     isomorphic to the class with n-1 in the place of x, and it is accepted.
+
+    Twins of Q are elements with equal up and down rows. An ideal takes a
+    twin only together with every earlier twin of its class. No class is
+    lost here either: permuting the twins within each class is an
+    automorphism of Q, so it maps any ideal to one that takes a prefix of
+    every class, and the two candidates are isomorphic with the new element
+    fixed. The automorphism keeps every |down(y)|, so the new element's
+    invariant and those of its rivals, the maximal elements outside the
+    ideal, are the same in both, and one candidate is accepted exactly when
+    the other is.
+
+    Candidates and forms are built from rows derived together, so no
+    constructor recomputes them: a candidate's down rows are Q's plus the
+    ideal.
     """
     if n < 1:
         raise CapExceeded("enumeration starts at n=1")
@@ -64,24 +78,40 @@ def _posets_of_size(n: int):
     reps = {}
     top = 1 << (n - 1)
     for q in _posets_of_size(n - 1):
-        below = [row.bit_count() for row in q._down]
-        rivals = [
-            (m, (below[m], sum(below[y] for y in _bits(q._down[m]))))
-            for m in q.maximal_elements()
-        ]
+        up, down = q._up, q._down
+        below = [row.bit_count() for row in down]
+        # the maximal elements by invariant, largest first: the first one
+        # outside an ideal is the rival its new element must not fall below
+        rivals = sorted(
+            (((below[m], sum(below[y] for y in _bits(down[m]))), 1 << m)
+             for m in q.maximal_elements()),
+            reverse=True,
+        )
+        # (twin, the twin before it in its class), as bits
+        twins, last = [], {}
+        for x, rows in enumerate(zip(up, down)):
+            if rows in last:
+                twins.append((1 << x, last[rows]))
+            last[rows] = 1 << x
         for ideal in order_ideals(q):
-            rows = list(q._up)
-            rows.append(0)
-            mass = 0
-            for d in _bits(ideal):
-                rows[d] |= top
-                mass += below[d]
-            new = (ideal.bit_count(), mass)
-            if any(new < inv for m, inv in rivals if not ideal >> m & 1):
+            if twins and any(ideal & x and not ideal & t for x, t in twins):
+                continue
+            elems = _bits(ideal)
+            new = (len(elems), sum(map(below.__getitem__, elems)))
+            for inv, bit in rivals:
+                if not ideal & bit:
+                    break
+            else:  # the ideal holds every maximal element
+                inv = new
+            if new < inv:
                 continue
             # q is transitively closed and the new maximal element's down-set
             # is an order ideal, so the candidate is too: no re-validation
-            cand = Poset(rows, validate=False)
+            rows = list(up)
+            for d in elems:
+                rows[d] |= top
+            rows.append(0)
+            cand = Poset._with_rows(tuple(rows), down + (ideal,))
             key = canonical_key(cand)
             if key not in reps:
                 reps[key] = canonical_form(cand)

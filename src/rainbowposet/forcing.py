@@ -188,10 +188,19 @@ def refuting_coloring(
     rainbow induced copy of pattern; None when exhaustive search proves the
     host rainbow-forces the pattern. A negative or NaN budget raises
     BadParams; None means no budget. Every coloring holds the empty
-    pattern, so nothing refutes it.
+    pattern, so nothing refutes it."""
+    colors = _refuting_colors(host, pattern, budget_s)
+    return None if colors is None else Coloring.from_values(colors)
 
-    One loop colors the elements in rank-then-index order, with one frame
-    per colored element on a list, so no host is too deep to search. Each
+
+def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
+    """The search behind `refuting_coloring`: the colors of the first
+    refutation per element, numbered in order of first use along the search
+    order, or None.
+
+    One loop colors the elements in rank-then-index order (the layers of
+    `rank_partition`, each ascending), with one frame per colored element
+    on a list, so no host is too deep to search. Each
     element tries the feasible existing colors in ascending order, then one
     fresh color, and a branch dies as soon as a rainbow copy holds the
     element just colored. A copy that is rainbow with an existing color
@@ -227,9 +236,8 @@ def refuting_coloring(
         return None
     n = host.n
     up, down, plan = host._up, host._down, plan_for(pattern)
-    rank = rank_partition(host).rank
-    order = sorted(range(n), key=lambda x: (rank[x], x))
-    comp = [host.up_mask(x) | host.down_mask(x) for x in range(n)]
+    order = [x for layer in rank_partition(host).layers for x in layer]
+    comp = [u | d for u, d in zip(up, down)]
     everything = (1 << n) - 1
     colors = [0] * n
     classes = []  # one bitmask of elements per color
@@ -261,7 +269,7 @@ def refuting_coloring(
                 raise ForcingTimeout(f"forcing search exceeded its {budget_s:g}s budget")
             i = len(frames)
             if i == n:
-                return Coloring.from_values(colors)
+                return colors
             if not greedy and _never_linked(classes, reach, comp, everything ^ assigned):
                 backtrack = True
                 continue
@@ -320,13 +328,14 @@ def refuting_coloring(
 def _forces(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S) -> bool:
     """The bare forcing decision, with no witness: a host smaller than the
     pattern or without a copy of it cannot force it, so the coloring search
-    runs only after the size check and an unanchored copy search. A bad
-    budget is rejected even where no search runs."""
+    runs only after the size check and an unanchored copy search, and its
+    verdict is taken without building a `Coloring`. A bad budget is
+    rejected even where no search runs."""
     _deadline(budget_s)
     return (
         pattern.n <= host.n
         and exists_copy(host._up, host._down, plan_for(pattern)) is not None
-        and refuting_coloring(host, pattern, budget_s) is None
+        and _refuting_colors(host, pattern, budget_s) is None
     )
 
 

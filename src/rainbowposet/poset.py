@@ -35,7 +35,7 @@ def _bits(mask: int) -> tuple:
 class Poset:
     """Immutable strict order. ``less(x, y)`` is True iff x is strictly below y."""
 
-    __slots__ = ("n", "_up", "_down", "labels", "_key", "_perm")
+    __slots__ = ("n", "_up", "_down", "labels", "_key", "_perm", "_form_rows")
 
     def __init__(self, up, labels=None, validate=True):
         up = tuple(up)
@@ -50,10 +50,23 @@ class Poset:
         self.labels = tuple(labels) if labels is not None else None
         self._key = None
         self._perm = None
+        self._form_rows = None
         if self.labels is not None and len(self.labels) != n:
             raise BadParams("label count differs from element count")
         if validate:
             self._check_invariants()
+
+    @classmethod
+    def _with_rows(cls, up: tuple, down: tuple) -> "Poset":
+        """An unlabeled poset on up and down row tuples that the caller has
+        derived together from a valid order, taken as given: nothing is
+        recomputed or checked."""
+        p = cls.__new__(cls)
+        p.n = len(up)
+        p._up = up
+        p._down = down
+        p.labels = p._key = p._perm = p._form_rows = None
+        return p
 
     def _check_invariants(self):
         up, down, n = self._up, self._down, self.n
@@ -345,15 +358,61 @@ def _refined_classes(p: Poset):
     return classes
 
 
-def _append_position(cur: int, row_up: int, row_down: int, placed) -> int:
-    """The bits cur followed by rel(x, y) for each placed y, then rel(y, x)
-    for each, where x is the element with rows row_up and row_down."""
-    above = below = 0
-    for y in placed:
-        above = (above << 1) | (row_up >> y & 1)
-        below = (below << 1) | (row_down >> y & 1)
-    i = len(placed)
-    return (((cur << i) | above) << i) | below
+def _reversal_table(width: int) -> tuple:
+    """Each `width`-bit value with its bits in reverse order."""
+    table = [0] * (1 << width)
+    for v in range(1, 1 << width):
+        table[v] = table[v >> 1] >> 1 | (v & 1) << (width - 1)
+    return tuple(table)
+
+
+_REVERSED = _reversal_table(10)
+
+
+def _reversed(v: int, width: int) -> int:
+    """The low `width` bits of v (no higher bit set) in reverse order, ten
+    bits at a time from the low end."""
+    out = 0
+    while width > 10:
+        out = (out << 10) | _REVERSED[v & 1023]
+        v >>= 10
+        width -= 10
+    return (out << width) | (_REVERSED[v] >> (10 - width))
+
+
+def _relabeled(p: Poset, perm) -> tuple:
+    """The up and down rows of p with element perm[i] moved to position i,
+    each row relabeled through one list of position bits."""
+    at = [0] * p.n
+    for i, elem in enumerate(perm):
+        at[elem] = 1 << i
+    old_up, old_down = p._up, p._down
+    up, down = [], []
+    for elem in perm:
+        row = 0
+        for y in _bits(old_up[elem]):
+            row |= at[y]
+        up.append(row)
+        row = 0
+        for y in _bits(old_down[elem]):
+            row |= at[y]
+        down.append(row)
+    return tuple(up), tuple(down)
+
+
+def _packed(up, down) -> int:
+    """The relation bit string of rows already in position order: for each
+    position i, rel(i, j) for j = 0..i-1 and then rel(j, i) for each,
+    j = 0 taking the highest bit of its group. Reversed, the string is the
+    groups in the opposite order with each one's bits ascending in j, so it
+    is assembled that way and reversed once."""
+    out = 0
+    shift = 0
+    for i in range(1, len(up)):
+        low = (1 << i) - 1
+        out |= ((down[i] & low) << i | (up[i] & low)) << shift
+        shift += 2 * i
+    return _reversed(out, shift)
 
 
 def _canonical_search(p: Poset):
@@ -369,6 +428,9 @@ def _canonical_search(p: Poset):
     is placed. Swapping two twins is an automorphism, so a skipped subtree
     holds the same bit strings as a tried one, and the first minimal leaf
     (hence the permutation) is the one the unpruned search finds.
+
+    When the search has one leaf, its relabeled rows are the canonical
+    form's, and p keeps them for `canonical_form`.
     """
     n = p.n
     slots = _refined_classes(p)
@@ -377,10 +439,8 @@ def _canonical_search(p: Poset):
         # every class is twins, a discrete partition among them: the search
         # below visits one leaf, the classes in order
         perm = [elem for block in slots for elem in block]
-        cur = 0
-        for i, elem in enumerate(perm):
-            cur = _append_position(cur, up[elem], down[elem], perm[:i])
-        return cur, n * (n - 1), perm
+        p._form_rows = _relabeled(p, perm)
+        return _packed(*p._form_rows), n * (n - 1), perm
     # position -> which block it draws from
     owner = []
     for bi, block in enumerate(slots):
@@ -400,8 +460,10 @@ def _canonical_search(p: Poset):
     best_perm = None
     perm = [0] * n
     used = [[False] * len(b) for b in slots]
+    at = [0] * n  # position bit of each placed element
+    move = at.__getitem__
 
-    def rec(i, cur):
+    def rec(i, cur, placed):
         nonlocal best_perm
         if i == n:
             if best_prefix[n] is None or cur < best_prefix[n]:
@@ -418,14 +480,17 @@ def _canonical_search(p: Poset):
         for j, elem in enumerate(block):
             if flags[j] or (prev[j] >= 0 and not flags[prev[j]]):
                 continue
-            nxt = _append_position(cur, up[elem], down[elem], perm[:i])
+            above = sum(map(move, _bits(up[elem] & placed)))
+            below = sum(map(move, _bits(down[elem] & placed)))
+            nxt = (cur << 2 * i) | _reversed(below << i | above, 2 * i)
             if best_prefix[i + 1] is not None and nxt > best_prefix[i + 1]:
                 continue
             flags[j] = True
             perm[i] = elem
-            rec(i + 1, nxt)
+            at[elem] = 1 << i
+            rec(i + 1, nxt, placed | 1 << elem)
             flags[j] = False
-    rec(0, 0)
+    rec(0, 0, 0)
     return best_prefix[n] or 0, total_bits, best_perm or []
 
 
@@ -451,15 +516,7 @@ def canonical_form(p: Poset) -> Poset:
     relabeling that reproduces its rows."""
     if p._key is None:
         canonical_key(p)
-    perm = p._perm  # position -> original element
-    inv = {e: i for i, e in enumerate(perm)}
-    rows = []
-    for i in range(p.n):
-        row = 0
-        for y in _bits(p._up[perm[i]]):
-            row |= 1 << inv[y]
-        rows.append(row)
-    form = Poset(rows, validate=False)
+    form = Poset._with_rows(*(p._form_rows or _relabeled(p, p._perm)))
     form._key = p._key
     form._perm = _identity(p.n)
     return form

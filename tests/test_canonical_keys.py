@@ -13,8 +13,9 @@ from rainbowposet import (
     make_poset,
     posets_of_size,
 )
+from rainbowposet import catalog
 from rainbowposet.catalog import order_ideals
-from rainbowposet.poset import _canonical_search, _refined_classes
+from rainbowposet.poset import _canonical_search, _packed, _refined_classes, _relabeled
 
 # sha256 digests of the byte streams built below, computed with the plain
 # search that keyed every extension and tried every relabeling. The cached
@@ -38,14 +39,14 @@ def _catalog_stream(sizes=range(1, 8), cap=7):
     return h.hexdigest()
 
 
-def random_labeled_posets(count=1500, seed=20251118):
-    """Seeded labeled posets on 1..8 elements: random arcs along a random
-    linear order, closed transitively. Densities run from sparse (many
-    antichain twins) to dense (many chains), so twins are common."""
+def random_labeled_posets(count=1500, seed=20251118, max_n=8):
+    """Seeded labeled posets on 1..max_n elements: random arcs along a
+    random linear order, closed transitively. Densities run from sparse
+    (many antichain twins) to dense (many chains), so twins are common."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
-        n = 1 + i % 8
+        n = 1 + i % max_n
         density = (0.0, 0.05, 0.15, 0.3, 0.5, 0.7, 0.9)[(i // 8) % 7]
         order = list(range(n))
         rng.shuffle(order)
@@ -95,9 +96,38 @@ def _naive_keys(n):
 
 
 def test_filtered_extension_matches_naive_oracle():
-    for n in (6, 7):
+    # the oracle has neither the invariant filter nor the twin filter
+    for n in range(2, 8):
         reps = posets_of_size(n)
         assert {canonical_key(p) for p in reps} == _naive_keys(n)
+
+
+# Candidates keyed per size by a cold catalog to size 8. Without the twin
+# filter these were 2, 6, 21, 90, 448, 2,832 and 22,513.
+KEYED = {2: 2, 3: 5, 4: 16, 5: 67, 6: 338, 7: 2207, 8: 18220}
+
+
+def test_keyed_candidates_are_pinned(monkeypatch):
+    keyed = dict.fromkeys(KEYED, 0)
+
+    def counted(p):
+        keyed[p.n] += 1
+        return canonical_key(p)
+
+    monkeypatch.setattr(catalog, "canonical_key", counted)
+    catalog._posets_of_size.cache_clear()
+    classes = [len(posets_of_size(n, 8)) for n in range(1, 9)]
+    assert classes == [1, 2, 5, 16, 63, 318, 2045, 16999]
+    assert keyed == KEYED
+
+
+def test_representatives_inherit_their_down_rows():
+    # no candidate or form recomputes its down rows: each comes from the
+    # parent's rows and the ideal, or from a relabeling
+    forms = [p for n in range(1, 9) for p in posets_of_size(n, 8)]
+    forms += [canonical_form(p) for p in random_labeled_posets(count=400)]
+    for p in forms:
+        assert p._down == Poset(p._up)._down
 
 
 def test_cached_keys_match_fresh_keys():
@@ -166,3 +196,29 @@ def test_canonical_search_matches_brute_force():
             kinds.add("not the first relabeling")
     assert kinds == {"discrete", "twins", "searched", "not the first relabeling"}
     assert _canonical_search(Poset([])) == (0, 0, [])
+
+
+def _per_pair(p, perm):
+    """The relation bit string of a relabeling, one pair at a time: for
+    each position i, rel(perm[i], perm[j]) for j < i, then rel(perm[j],
+    perm[i]) for each."""
+    bits = 0
+    for i, x in enumerate(perm):
+        for j in range(i):
+            bits = bits << 1 | p.less(x, perm[j])
+        for j in range(i):
+            bits = bits << 1 | p.less(perm[j], x)
+    return bits
+
+
+def test_packed_rows_match_the_per_pair_encoding():
+    # up to 13 elements, so that a position's groups cross the 10-bit
+    # chunks of the reversal table
+    rng = random.Random(24)
+    posets = random_labeled_posets(count=260, seed=1324, max_n=13)
+    assert max(p.n for p in posets) == 13
+    for p in posets:
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        for order in (range(p.n), perm):
+            assert _packed(*_relabeled(p, order)) == _per_pair(p, order)

@@ -224,6 +224,19 @@ class TestForcing:
         again = rainbow_forces(host, antichain(2))
         assert again == first and len(calls) == 2
 
+    def test_bare_decision_matches_the_verdict(self):
+        # `_forces` takes the search's verdict without a Coloring, so no
+        # other test holds it to the verdict of `rainbow_forces`
+        hosts = [h for n in range(1, 7) for h in posets_of_size(n)]
+        assert len(hosts) == 405 and len(PATTERNS) == 24
+        verdicts = set()
+        for host in hosts:
+            for pattern in PATTERNS:
+                forces = rainbow_forces(host, pattern).forces
+                assert _forces(host, pattern) == forces, (host._up, pattern._up)
+                verdicts.add(forces)
+        assert verdicts == {True, False}
+
     def test_budget_applies_on_every_call(self):
         # An earlier decision on the same classes must not answer for a
         # later call with a smaller budget.
