@@ -230,16 +230,28 @@ def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
       larger color the smaller one makes the coloring smaller there. So the
       first refutation gives twins one color, and a twin tries only the
       color of the twin before it along the order.
+
+    The search's first leaf, first fit along the order, is tested before
+    the loop is set up. It gives each element the color rank - 1: the
+    longest chain below an element holds colors 0..rank-2, and the elements
+    before it with color rank - 1 lie in its own layer, an antichain. So
+    when the height is below the pattern's size, or one unanchored copy
+    search finds no rainbow copy under this rank coloring, it is the first
+    refutation, and the order, rows and frames are never built. This also
+    refutes a host with no copy of the pattern at all.
     """
     deadline = _deadline(budget_s)
     if pattern.n == 0:
         return None
     n = host.n
     up, down, plan = host._up, host._down, plan_for(pattern)
-    order = [x for layer in rank_partition(host).layers for x in layer]
+    ranks = rank_partition(host)
+    colors = [r - 1 for r in ranks.rank]  # the first leaf
+    if ranks.height < pattern.n or exists_copy(up, down, plan, colors=colors) is None:
+        return colors
+    order = [x for layer in ranks.layers for x in layer]
     comp = [u | d for u, d in zip(up, down)]
     everything = (1 << n) - 1
-    colors = [0] * n
     classes = []  # one bitmask of elements per color
     # per colored element: (element, fresh color, first undecided color,
     # the copy that decided its colors, an iterator over the colors left)
@@ -326,17 +338,11 @@ def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
 
 
 def _forces(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S) -> bool:
-    """The bare forcing decision, with no witness: a host smaller than the
-    pattern or without a copy of it cannot force it, so the coloring search
-    runs only after the size check and an unanchored copy search, and its
-    verdict is taken without building a `Coloring`. A bad budget is
-    rejected even where no search runs."""
-    _deadline(budget_s)
-    return (
-        pattern.n <= host.n
-        and exists_copy(host._up, host._down, plan_for(pattern)) is not None
-        and _refuting_colors(host, pattern, budget_s) is None
-    )
+    """The bare forcing decision, with no witness: the search's verdict,
+    taken without building a `Coloring`. A host smaller than the pattern or
+    without a copy of it needs no separate test, since the search's first
+    leaf, the rank coloring, refutes it."""
+    return _refuting_colors(host, pattern, budget_s) is None
 
 
 def rainbow_forces(

@@ -271,12 +271,14 @@ class TestForcing:
 
     @pytest.mark.parametrize(
         "deleted, calls, found",
-        [(None, 916, 409), ("t'_3", 916, 409), ("b'_0", 21, 3)],
+        [(None, 917, 410), ("t'_3", 917, 410), ("b'_0", 22, 4)],
         ids=["o_jk(2,4)", "t'_3-deleted", "b'_0-deleted"],
     )
     def test_search_path_is_pinned(self, monkeypatch, deleted, calls, found):
         # The copy searches the forcing search makes, all and those that
-        # find a copy: the greedy first color, the one search under the
+        # find a copy: the one unanchored search that finds a copy under
+        # the rank coloring (the first leaf, which refutes none of these
+        # hosts), then the greedy first color, the one search under the
         # fresh color and the merge and twin cuts after the first backtrack
         # decide most colors, which the verdicts alone do not show. A
         # refutation adds the one re-check of `has_rainbow_copy`.
@@ -412,20 +414,31 @@ def test_blowup_forces_small():
                 assert rainbow_forces(blowup(p, pi), p).forces
 
 
-def _first_refutation(host, copies):
-    """The first proper coloring with no rainbow copy among `copies`, or
-    None: colorings are restricted-growth strings along the rank-then-index
-    order (rank 1 for the minimal elements), in lexicographic order, and
-    the answer is relabeled in index order."""
-    n = host.n
+def _ranks(host):
+    """Per element, the number of elements on a longest chain ending at it
+    (rank 1 for the minimal elements), by plain recursion over `less`."""
     rank = {}
 
     def rank_of(x):
         if x not in rank:
-            rank[x] = 1 + max((rank_of(y) for y in range(n) if host.less(y, x)), default=0)
+            rank[x] = 1 + max((rank_of(y) for y in range(host.n) if host.less(y, x)), default=0)
         return rank[x]
 
-    order = sorted(range(n), key=lambda x: (rank_of(x), x))
+    return [rank_of(x) for x in range(host.n)]
+
+
+def _rank_order(host):
+    rank = _ranks(host)
+    return sorted(range(host.n), key=lambda x: (rank[x], x))
+
+
+def _first_refutation(host, copies):
+    """The first proper coloring with no rainbow copy among `copies`, or
+    None: colorings are restricted-growth strings along the rank-then-index
+    order, in lexicographic order, and the answer is relabeled in index
+    order."""
+    n = host.n
+    order = _rank_order(host)
     cols = [None] * n
 
     def first(i, used):
@@ -493,6 +506,53 @@ class TestFirstRefutation:
         ]
         assert found == expected
         assert 0 < found.count(None) < len(found)
+        # the cases hold refutations of the first leaf (the rank coloring)
+        # and of the loop after it
+        first_leaf = sum(
+            f == Coloring.from_values(_ranks(host)).colors
+            for f, (host, _) in zip(found, self.CASES)
+        )
+        assert 0 < first_leaf < len(found) - found.count(None)
+
+    def test_first_fit_along_the_rank_order_is_rank_minus_one(self):
+        # The search's first leaf gives each element its first feasible
+        # color along the rank-then-index order, which is rank - 1: the
+        # longest chain below an element takes colors 0..rank-2, and no
+        # element before it holds color rank - 1 and is comparable to it.
+        hosts = (
+            random_labeled_posets()
+            + [chain(k) for k in range(1, 7)]
+            + [antichain(k) for k in range(1, 7)]
+            + [o_jk(2, 4)]
+        )
+        for host in hosts:
+            order = _rank_order(host)
+            cols = [None] * host.n
+            for i, x in enumerate(order):
+                taken = {cols[y] for y in order[:i] if host.comparable(x, y)}
+                cols[x] = min(set(range(host.n)) - taken)
+            assert cols == [r - 1 for r in _ranks(host)], host._up
+
+    def test_first_leaf_takes_at_most_one_copy_search(self, monkeypatch):
+        # A rank coloring with fewer colors than the pattern has elements
+        # refutes with no copy search; otherwise one unanchored search
+        # under it decides whether it refutes.
+        from rainbowposet import forcing
+
+        anchors = []
+        exists_copy = forcing.exists_copy
+
+        def counted(*args, **kwargs):
+            anchors.append(kwargs.get("anchor"))
+            return exists_copy(*args, **kwargs)
+
+        monkeypatch.setattr(forcing, "exists_copy", counted)
+        host = antichain(5)
+        assert refuting_coloring(host, chain(2)) == Coloring.from_values(_ranks(host))
+        assert anchors == []
+        host = chain(3)
+        assert refuting_coloring(host, vee()) == Coloring.from_values(_ranks(host))
+        assert anchors == [None]
 
     def test_both_cuts_fire_and_keep_every_refutation(self, monkeypatch):
         from rainbowposet import forcing
@@ -506,12 +566,16 @@ class TestFirstRefutation:
         assert no_merge == found == no_twins
         assert calls < no_merge_calls and calls < no_twin_calls
         # pinned, so that a weaker cut (a twin floor in place of its twin's
-        # one color, say) shows although it keeps every answer
-        assert calls == 10440
+        # one color, say) shows although it keeps every answer; the rank
+        # coloring refutes most cases with one copy search or none
+        assert calls == 4283
 
     def test_cuts_are_set_up_only_after_a_backtrack(self, monkeypatch):
         # A search that never backtracks pays nothing for the cuts; one that
-        # does sets them up once.
+        # does sets them up once. The two refutations below are first
+        # leaves, which build no loop state at all: no loop search over the
+        # classes on at most 8 elements against the patterns on at most 4
+        # ends without a backtrack.
         from rainbowposet import forcing
 
         setups = []
