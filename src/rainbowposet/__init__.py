@@ -17,7 +17,6 @@ from .poset import (
     are_isomorphic,
     canonical_form,
     canonical_key,
-    comparability_edges,
     disjoint_sum,
     dual,
     height,

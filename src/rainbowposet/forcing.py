@@ -207,17 +207,15 @@ def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
     stays rainbow with a fresh one, and a copy found with any color stays
     rainbow under every color that its other elements do not use. So one
     copy search with the fresh color decides most colors, and only those on
-    the copy it finds get a search of their own. `greedy` holds until the
-    search first backtracks: until then the first feasible color usually
-    completes a refutation, so it is searched first, and a copy it holds
-    decides the others in place of the fresh color's. The clock is read at
+    the copy it finds get a search of their own. The clock is read at
     every 256th node.
 
     Colors are tried in ascending order, so the refutation found is the
     lexicographically first restricted-growth string along the order, and
     a branch may be cut when each refutation in it has a smaller one. Two
-    cuts do so, and run only after the first backtrack, which sets them up:
-    a search that never backtracks pays nothing for them.
+    cuts do so at every node of the loop. The loop runs only when the
+    first leaf holds a copy, so it always backtracks, and the cuts'
+    state is built once, where it starts.
     - Merge: if two classes A < B of a refutation have no comparable pair
       between them, merging B into A is still proper and still has no
       rainbow copy (a merge never makes a copy rainbow), and it is smaller
@@ -237,8 +235,8 @@ def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
     before it with color rank - 1 lie in its own layer, an antichain. So
     when the height is below the pattern's size, or one unanchored copy
     search finds no rainbow copy under this rank coloring, it is the first
-    refutation, and the order, rows and frames are never built. This also
-    refutes a host with no copy of the pattern at all.
+    refutation, and no loop state is built. This also refutes a host with
+    no copy of the pattern at all.
     """
     deadline = _deadline(budget_s)
     if pattern.n == 0:
@@ -251,27 +249,21 @@ def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
         return colors
     order = [x for layer in ranks.layers for x in layer]
     comp = [u | d for u, d in zip(up, down)]
+    twin = _previous_twins(up, down, order)
     everything = (1 << n) - 1
     classes = []  # one bitmask of elements per color
-    # per colored element: (element, fresh color, first undecided color,
-    # the copy that decided its colors, an iterator over the colors left)
+    # per color, the elements comparable to a member; per colored element,
+    # its class's reach before it joined
+    reach, before = [0] * n, [0] * n
+    # per colored element: (element, fresh color, the copy that decided its
+    # colors, an iterator over the colors left)
     frames = []
     backtrack = False  # whether the child of the last frame failed
     assigned = 0  # the colored elements and the one being colored
-    greedy = True
     nodes = 0
     while True:
         if backtrack:  # take back the color under which the child failed
-            if greedy:  # the first backtrack sets up the two cuts
-                greedy = False
-                twin = _previous_twins(up, down, order)
-                # per color, the elements comparable to a member; per colored
-                # element, its class's reach before it joined
-                reach, before = [0] * n, [0] * n
-                for x in order[: len(frames)]:
-                    c = colors[x]
-                    before[x], reach[c] = reach[c], reach[c] | comp[x]
-            e, fresh, start, copy, tried = frames.pop()
+            e, fresh, copy, tried = frames.pop()
             bit = 1 << e
             classes[colors[e]] ^= bit
             reach[colors[e]] = before[e]
@@ -282,38 +274,24 @@ def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
             i = len(frames)
             if i == n:
                 return colors
-            if not greedy and _never_linked(classes, reach, comp, everything ^ assigned):
+            if _never_linked(classes, reach, comp, everything ^ assigned):
                 backtrack = True
                 continue
             e = order[i]
             bit = 1 << e
             assigned |= bit
-            fresh, start, copy, tried = len(classes), 0, None, None
-            if greedy:
-                for c in range(fresh):
-                    if not classes[c] & comp[e]:
-                        colors[e], start = c, c + 1
-                        copy = exists_copy(
-                            up, down, plan, active=assigned, colors=colors, anchor=e
-                        )
-                        break
-                if start and copy is None:  # go on with the first feasible color
-                    classes[start - 1] |= bit
-                    frames.append((e, fresh, start, None, None))
-                    continue
-        if tried is None and not greedy and twin[e] >= 0:
-            # the first refutation gives twins one color: e tries only its
-            # twin's, with a copy search of its own
-            c = colors[twin[e]]
-            copy, tried = (), iter((c,) if c >= start else ())
-        if tried is None:
-            if copy is None:
+            fresh = len(classes)
+            if twin[e] >= 0:
+                # the first refutation gives twins one color: e tries only its
+                # twin's, with a copy search of its own
+                copy, tried = (), iter((colors[twin[e]],))
+            else:
                 colors[e] = fresh
                 copy = exists_copy(up, down, plan, active=assigned, colors=colors, anchor=e)
-            if copy is None:  # no color of e completes a rainbow copy
-                tried = iter(range(start, fresh + 1))
-            else:  # it stays rainbow under every color its other elements do not use
-                tried = iter(sorted({colors[x] for x in copy[1:] if colors[x] >= start}))
+                if copy is None:  # no color of e completes a rainbow copy
+                    tried = iter(range(fresh + 1))
+                else:  # it stays rainbow under every color its other elements do not use
+                    tried = iter(sorted({colors[x] for x in copy[1:]}))
         for c in tried:
             if c == fresh:
                 classes.append(0)
@@ -324,9 +302,8 @@ def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
                 up, down, plan, active=assigned, colors=colors, anchor=e
             ):
                 classes[c] |= bit
-                if not greedy:
-                    before[e], reach[c] = reach[c], reach[c] | comp[e]
-                frames.append((e, fresh, start, copy, tried))
+                before[e], reach[c] = reach[c], reach[c] | comp[e]
+                frames.append((e, fresh, copy, tried))
                 backtrack = False
                 break
         else:  # no color of e is left

@@ -53,6 +53,24 @@ from test_poset import naive_induced_copies
 REFUTE_DIGEST = "ba8c284d26d91e6036598a995685e45da01dbf67e127792cc9ddc568406e545a"
 
 
+@pytest.fixture
+def copy_searches(monkeypatch):
+    """The copy searches that `forcing` makes from here on, one (anchor,
+    whether it found a copy) pair per search, in order."""
+    from rainbowposet import forcing
+
+    searches = []
+    exists_copy = forcing.exists_copy
+
+    def counted(*args, **kwargs):
+        copy = exists_copy(*args, **kwargs)
+        searches.append((kwargs.get("anchor"), copy is not None))
+        return copy
+
+    monkeypatch.setattr(forcing, "exists_copy", counted)
+    return searches
+
+
 class TestColoring:
     def test_canonical_enforced(self):
         with pytest.raises(PreconditionViolated):
@@ -271,35 +289,23 @@ class TestForcing:
 
     @pytest.mark.parametrize(
         "deleted, calls, found",
-        [(None, 917, 410), ("t'_3", 917, 410), ("b'_0", 22, 4)],
+        [(None, 912, 410), ("t'_3", 912, 410), ("b'_0", 20, 4)],
         ids=["o_jk(2,4)", "t'_3-deleted", "b'_0-deleted"],
     )
-    def test_search_path_is_pinned(self, monkeypatch, deleted, calls, found):
+    def test_search_path_is_pinned(self, copy_searches, deleted, calls, found):
         # The copy searches the forcing search makes, all and those that
         # find a copy: the one unanchored search that finds a copy under
         # the rank coloring (the first leaf, which refutes none of these
-        # hosts), then the greedy first color, the one search under the
-        # fresh color and the merge and twin cuts after the first backtrack
-        # decide most colors, which the verdicts alone do not show. A
-        # refutation adds the one re-check of `has_rainbow_copy`.
-        from rainbowposet import forcing
-
-        counts = [0, 0]
-        exists_copy = forcing.exists_copy
-
-        def counted(*args, **kwargs):
-            copy = exists_copy(*args, **kwargs)
-            counts[0] += 1
-            counts[1] += copy is not None
-            return copy
-
-        monkeypatch.setattr(forcing, "exists_copy", counted)
+        # hosts), then at every loop node the one search under the fresh
+        # color and the merge and twin cuts decide most colors, which the
+        # verdicts alone do not show. A refutation adds the one re-check
+        # of `has_rainbow_copy`.
         host = o_jk(2, 4)
         if deleted is not None:
             host = host.delete(host.labels.index(deleted))
         verdict = rainbow_forces(host, antichain(4))
         assert verdict.forces == (deleted != "b'_0")
-        assert counts == [calls, found]
+        assert [len(copy_searches), sum(f for _, f in copy_searches)] == [calls, found]
 
     def test_matches_brute_force(self):
         # Forcing by its definition: every proper coloring holds a rainbow
@@ -462,7 +468,7 @@ def _first_refutation(host, copies):
 
 class TestFirstRefutation:
     """The search returns the lexicographically first refutation, and the
-    merge and twin cuts after its first backtrack keep it."""
+    merge and twin cuts at every node of its loop keep it."""
 
     CASES = [
         (host, pattern)
@@ -481,25 +487,17 @@ class TestFirstRefutation:
         ]
     ]
 
-    def _decide_all(self, monkeypatch):
-        from rainbowposet import forcing
-
-        calls = [0]
-        exists_copy = forcing.exists_copy
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return exists_copy(*args, **kwargs)
-
-        monkeypatch.setattr(forcing, "exists_copy", counted)
+    def _decide_all(self, copy_searches):
+        """Each case's refutation, or None, and the copy searches made."""
+        before = len(copy_searches)
         out = []
         for host, pattern in self.CASES:
             refutation = rainbow_forces(host, pattern).refutation
             out.append(refutation and refutation.colors)
-        return out, calls[0]
+        return out, len(copy_searches) - before
 
-    def test_matches_plain_enumeration(self, monkeypatch):
-        found, _ = self._decide_all(monkeypatch)
+    def test_matches_plain_enumeration(self, copy_searches):
+        found, _ = self._decide_all(copy_searches)
         expected = [
             _first_refutation(host, naive_induced_copies(host, pattern))
             for host, pattern in self.CASES
@@ -533,49 +531,39 @@ class TestFirstRefutation:
                 cols[x] = min(set(range(host.n)) - taken)
             assert cols == [r - 1 for r in _ranks(host)], host._up
 
-    def test_first_leaf_takes_at_most_one_copy_search(self, monkeypatch):
+    def test_first_leaf_takes_at_most_one_copy_search(self, copy_searches):
         # A rank coloring with fewer colors than the pattern has elements
         # refutes with no copy search; otherwise one unanchored search
         # under it decides whether it refutes.
-        from rainbowposet import forcing
-
-        anchors = []
-        exists_copy = forcing.exists_copy
-
-        def counted(*args, **kwargs):
-            anchors.append(kwargs.get("anchor"))
-            return exists_copy(*args, **kwargs)
-
-        monkeypatch.setattr(forcing, "exists_copy", counted)
         host = antichain(5)
         assert refuting_coloring(host, chain(2)) == Coloring.from_values(_ranks(host))
-        assert anchors == []
+        assert copy_searches == []
         host = chain(3)
         assert refuting_coloring(host, vee()) == Coloring.from_values(_ranks(host))
-        assert anchors == [None]
+        assert [anchor for anchor, _ in copy_searches] == [None]
 
-    def test_both_cuts_fire_and_keep_every_refutation(self, monkeypatch):
+    def test_both_cuts_fire_and_keep_every_refutation(self, monkeypatch, copy_searches):
         from rainbowposet import forcing
 
-        found, calls = self._decide_all(monkeypatch)
-        monkeypatch.setattr(forcing, "_never_linked", lambda *args: False)
-        no_merge, no_merge_calls = self._decide_all(monkeypatch)
-        monkeypatch.undo()
-        monkeypatch.setattr(forcing, "_previous_twins", lambda up, down, order: [-1] * len(order))
-        no_twins, no_twin_calls = self._decide_all(monkeypatch)
+        found, calls = self._decide_all(copy_searches)
+        with monkeypatch.context() as m:
+            m.setattr(forcing, "_never_linked", lambda *args: False)
+            no_merge, no_merge_calls = self._decide_all(copy_searches)
+        with monkeypatch.context() as m:
+            m.setattr(forcing, "_previous_twins", lambda up, down, order: [-1] * len(order))
+            no_twins, no_twin_calls = self._decide_all(copy_searches)
         assert no_merge == found == no_twins
         assert calls < no_merge_calls and calls < no_twin_calls
         # pinned, so that a weaker cut (a twin floor in place of its twin's
         # one color, say) shows although it keeps every answer; the rank
-        # coloring refutes most cases with one copy search or none
-        assert calls == 4283
+        # coloring refutes most cases with one copy search or none, and
+        # each loop node but a twin's makes one search under the fresh color
+        assert calls == 4137
 
-    def test_cuts_are_set_up_only_after_a_backtrack(self, monkeypatch):
-        # A search that never backtracks pays nothing for the cuts; one that
-        # does sets them up once. The two refutations below are first
-        # leaves, which build no loop state at all: no loop search over the
-        # classes on at most 8 elements against the patterns on at most 4
-        # ends without a backtrack.
+    def test_loop_state_is_built_once_and_only_when_the_first_leaf_fails(self, monkeypatch):
+        # The two refutations below are first leaves, which build no loop
+        # state and call no cut. A search whose first leaf holds a copy
+        # builds the cuts' state once, where its loop starts.
         from rainbowposet import forcing
 
         setups = []
