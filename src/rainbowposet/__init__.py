@@ -12,7 +12,6 @@ from .errors import (
 )
 from .poset import (
     Poset,
-    RankPartition,
     adjoin_extremum,
     are_isomorphic,
     canonical_form,

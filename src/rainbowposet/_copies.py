@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .poset import _previous_twins
+
 
 def _order_from(pattern_up, pattern_down, first):
     """Vertex order starting at `first`: breadth-first over the pattern's
@@ -167,7 +169,8 @@ class PatternPlan:
     from anchor vertex `first` (None: no anchor), so a copy, which lists
     host elements in step order, maps element orders[first][i] to copy[i].
     `roles` holds one (v, |up(v)|, |down(v)|) per distinct (up row, down
-    row) pair of the pattern. `searches[colored][first]` is the compiled
+    row) pair of the pattern: v is the first element with that pair, the
+    one with no previous twin. `searches[colored][first]` is the compiled
     search along `orders[first]`, built when first used.
     """
 
@@ -179,13 +182,11 @@ class PatternPlan:
             first: tuple(_order_from(pattern_up, pattern_down, first))
             for first in [None, *range(m)]
         }
-        roles = {}
-        for v in range(m):
-            roles.setdefault(
-                (pattern_up[v], pattern_down[v]),
-                (v, pattern_up[v].bit_count(), pattern_down[v].bit_count()),
-            )
-        self.roles = tuple(roles.values())
+        self.roles = tuple(
+            (v, pattern_up[v].bit_count(), pattern_down[v].bit_count())
+            for v, twin in enumerate(_previous_twins(pattern_up, pattern_down))
+            if twin < 0
+        )
         self.searches = tuple(
             _Searches(pattern_up, pattern_down, self.orders, colored)
             for colored in (False, True)

@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import BadParams, CapExceeded
-from .poset import Poset, _bits, canonical_form, canonical_key
+from .poset import Poset, _bits, _previous_twins, canonical_form, canonical_key
 
 DEFAULT_CAP = 7
 
@@ -88,11 +88,7 @@ def _posets_of_size(n: int):
             reverse=True,
         )
         # (twin, the twin before it in its class), as bits
-        twins, last = [], {}
-        for x, rows in enumerate(zip(up, down)):
-            if rows in last:
-                twins.append((1 << x, last[rows]))
-            last[rows] = 1 << x
+        twins = [(1 << x, 1 << t) for x, t in enumerate(_previous_twins(up, down)) if t >= 0]
         for ideal in order_ideals(q):
             if twins and any(ideal & x and not ideal & t for x, t in twins):
                 continue

@@ -17,7 +17,15 @@ from typing import Optional
 
 from ._copies import exists_copy, plan_for
 from .errors import BadParams, ForcingTimeout, PreconditionViolated
-from .poset import Poset, canonical_key, dual, linear_sum, perp_value, rank_partition
+from .poset import (
+    Poset,
+    _previous_twins,
+    canonical_key,
+    dual,
+    linear_sum,
+    perp_value,
+    rank_partition,
+)
 from .catalog import DEFAULT_CAP, posets_of_size
 
 DEFAULT_BUDGET_S = 900.0
@@ -144,17 +152,6 @@ def _deadline(budget_s):
     return time.monotonic() + budget_s
 
 
-def _previous_twins(up, down, order):
-    """Per element, the last element before it along `order` with the same
-    up and down rows (its twin), or -1."""
-    twin, last = [-1] * len(order), {}
-    for x in order:
-        rows = up[x], down[x]
-        twin[x] = last.get(rows, -1)
-        last[rows] = x
-    return twin
-
-
 def _never_linked(classes, reach, comp, free):
     """Whether two color classes A < B have no comparable pair between them
     in any completion of a partial coloring. reach[c] holds the elements
@@ -198,12 +195,11 @@ def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
     refutation per element, numbered in order of first use along the search
     order, or None.
 
-    One loop colors the elements in rank-then-index order (the layers of
-    `rank_partition`, each ascending), with one frame per colored element
-    on a list, so no host is too deep to search. Each
-    element tries the feasible existing colors in ascending order, then one
-    fresh color, and a branch dies as soon as a rainbow copy holds the
-    element just colored. A copy that is rainbow with an existing color
+    One loop colors the elements in rank-then-index order (ranks from
+    `rank_partition`), with one frame per colored element on a list, so
+    no host is too deep to search. Each element tries the feasible
+    existing colors in ascending order, then one fresh color, and a branch
+    dies as soon as a rainbow copy holds the element just colored. A copy that is rainbow with an existing color
     stays rainbow with a fresh one, and a copy found with any color stays
     rainbow under every color that its other elements do not use. So one
     copy search with the fresh color decides most colors, and only those on
@@ -227,7 +223,8 @@ def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
       through the other with the same colors. Giving the twin with the
       larger color the smaller one makes the coloring smaller there. So the
       first refutation gives twins one color, and a twin tries only the
-      color of the twin before it along the order.
+      color of its previous twin in index order, which shares its rank and
+      so comes before it along the order.
 
     The search's first leaf, first fit along the order, is tested before
     the loop is set up. It gives each element the color rank - 1: the
@@ -243,13 +240,13 @@ def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
         return None
     n = host.n
     up, down, plan = host._up, host._down, plan_for(pattern)
-    ranks = rank_partition(host)
-    colors = [r - 1 for r in ranks.rank]  # the first leaf
-    if ranks.height < pattern.n or exists_copy(up, down, plan, colors=colors) is None:
+    rank = rank_partition(host)
+    colors = [r - 1 for r in rank]  # the first leaf
+    if max(rank, default=0) < pattern.n or exists_copy(up, down, plan, colors=colors) is None:
         return colors
-    order = [x for layer in ranks.layers for x in layer]
+    order = sorted(range(n), key=rank.__getitem__)
     comp = [u | d for u, d in zip(up, down)]
-    twin = _previous_twins(up, down, order)
+    twin = _previous_twins(up, down)
     everything = (1 << n) - 1
     classes = []  # one bitmask of elements per color
     # per color, the elements comparable to a member; per colored element,

@@ -6,7 +6,6 @@ All values are immutable and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadParams, CapExceeded, CyclicInput
@@ -236,35 +235,39 @@ def adjoin_extremum(p: Poset, side: str) -> Poset:
 # --- structure -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankPartition:
-    """Canonical antichain partition: layer j holds the minimal elements of
-    the poset restricted to layers >= j. Ranks are 1-based."""
-
-    layers: tuple
-    rank: tuple
-
-    @property
-    def height(self) -> int:
-        return len(self.layers)
-
-
-def rank_partition(p: Poset) -> RankPartition:
+def rank_partition(p: Poset) -> tuple:
+    """Per element, its 1-based rank: the number of elements on a longest
+    chain ending at it. Layer r, the elements of rank r, is peeled off as
+    the minimal elements of what the layers below leave."""
     n = p.n
-    remaining = (1 << n) - 1
-    layers = []
+    down = p._down
     rank = [0] * n
+    remaining = (1 << n) - 1
+    r = 0
     while remaining:
-        layer = [x for x in _bits(remaining) if not p._down[x] & remaining]
-        layers.append(tuple(layer))
-        for x in layer:
-            rank[x] = len(layers)
-            remaining &= ~(1 << x)
-    return RankPartition(tuple(layers), tuple(rank))
+        r += 1
+        layer = 0
+        for x in _bits(remaining):
+            if not down[x] & remaining:
+                rank[x] = r
+                layer |= 1 << x
+        remaining ^= layer
+    return tuple(rank)
 
 
 def height(p: Poset) -> int:
-    return rank_partition(p).height
+    return max(rank_partition(p), default=0)
+
+
+def _previous_twins(up, down) -> list:
+    """Per element, the last element before it in index order with the same
+    up and down rows (its twin), or -1. Twins share their rank and their
+    refined class."""
+    twin, last = [-1] * len(up), {}
+    for x, rows in enumerate(zip(up, down)):
+        twin[x] = last.get(rows, -1)
+        last[rows] = x
+    return twin
 
 
 def perp_value(p: Poset) -> int:
@@ -300,30 +303,20 @@ def is_tree_poset(p: Poset) -> bool:
 # --- canonical keys and isomorphism ---------------------------------------
 
 
-def _refined_classes(p: Poset):
-    """Partition elements into order-invariant classes, sorted by signature.
+def _refined_classes(p: Poset, twin_classes: int):
+    """Partition elements into order-invariant classes, sorted by signature,
+    each class ascending.
 
     Iterates a degree/rank style refinement until stable; used to restrict
     the canonical-key search to class-respecting permutations. Ranks are
-    those of `rank_partition`, peeled inline. Twins (equal up and down rows)
-    always share a signature, so a partition whose classes are all twins,
-    a discrete one among them, cannot split: the loop stops there without
-    a round that would only confirm it.
+    those of `rank_partition`. Twins (equal up and down rows) always share
+    a signature, so a partition into `twin_classes` classes, all twins, a
+    discrete one among them, cannot split: the loop stops there without a
+    round that would only confirm it.
     """
     n = p.n
     up, down = p._up, p._down
-    twin_classes = len(set(zip(up, down)))
-    rk = [0] * n
-    remaining = (1 << n) - 1
-    r = 0
-    while remaining:
-        r += 1
-        layer = 0
-        for x in _bits(remaining):
-            if not down[x] & remaining:
-                rk[x] = r
-                layer |= 1 << x
-        remaining ^= layer
+    rk = rank_partition(p)
     # (|down|, |up|, rank) as one int with the same order: each is at most n
     m = n + 1
     sig = [(down[x].bit_count() * m + up[x].bit_count()) * m + rk[x] for x in range(n)]
@@ -415,18 +408,21 @@ def _canonical_search(p: Poset):
     permutation[position] = original element.
 
     Twins (elements with equal up and down rows) are tried only in block
-    order: a position takes a twin only once every earlier twin in its block
-    is placed. Swapping two twins is an automorphism, so a skipped subtree
-    holds the same bit strings as a tried one, and the first minimal leaf
-    (hence the permutation) is the one the unpruned search finds.
+    order: a position takes a twin only once its previous twin, earlier in
+    the same block, is placed. Swapping two twins is an automorphism, so a
+    skipped subtree holds the same bit strings as a tried one, and the
+    first minimal leaf (hence the permutation) is the one the unpruned
+    search finds.
 
     When the search has one leaf, its relabeled rows are the canonical
     form's, and p keeps them for `canonical_form`.
     """
     n = p.n
-    slots = _refined_classes(p)
     up, down = p._up, p._down
-    if len(slots) == len(set(zip(up, down))):
+    twin = _previous_twins(up, down)
+    twin_classes = twin.count(-1)
+    slots = _refined_classes(p, twin_classes)
+    if len(slots) == twin_classes:
         # every class is twins, a discrete partition among them: the search
         # below visits one leaf, the classes in order
         perm = [elem for block in slots for elem in block]
@@ -436,21 +432,10 @@ def _canonical_search(p: Poset):
     owner = []
     for bi, block in enumerate(slots):
         owner.extend([bi] * len(block))
-    # index in the same block of the previous twin of each element, or -1
-    prev_twin = []
-    for block in slots:
-        last = {}
-        prev = []
-        for j, elem in enumerate(block):
-            rows = (up[elem], down[elem])
-            prev.append(last.get(rows, -1))
-            last[rows] = j
-        prev_twin.append(prev)
     total_bits = n * (n - 1)
     best_prefix = [None] * (n + 1)
     best_perm = None
     perm = [0] * n
-    used = [[False] * len(b) for b in slots]
     at = [0] * n  # position bit of each placed element
     move = at.__getitem__
 
@@ -465,22 +450,17 @@ def _canonical_search(p: Poset):
                 best_prefix[0] = 0
                 best_perm = perm.copy()
             return
-        block = slots[owner[i]]
-        flags = used[owner[i]]
-        prev = prev_twin[owner[i]]
-        for j, elem in enumerate(block):
-            if flags[j] or (prev[j] >= 0 and not flags[prev[j]]):
+        for elem in slots[owner[i]]:
+            if placed >> elem & 1 or (twin[elem] >= 0 and not placed >> twin[elem] & 1):
                 continue
             above = sum(map(move, _bits(up[elem] & placed)))
             below = sum(map(move, _bits(down[elem] & placed)))
             nxt = (cur << 2 * i) | _reversed(below << i | above, 2 * i)
             if best_prefix[i + 1] is not None and nxt > best_prefix[i + 1]:
                 continue
-            flags[j] = True
             perm[i] = elem
             at[elem] = 1 << i
             rec(i + 1, nxt, placed | 1 << elem)
-            flags[j] = False
     rec(0, 0, 0)
     return best_prefix[n] or 0, total_bits, best_perm or []
 

@@ -65,7 +65,7 @@ def classify_tree(t: Poset) -> TreeMeta:
         frontier = nxt
     if min(dist) < 0:
         raise NotATreePoset("comparability graph is disconnected")
-    rank = rank_partition(t).rank
+    rank = rank_partition(t)
     side = tuple(
         "base" if x == base else ("down" if dist[x] % 2 else "up")
         for x in range(n)

@@ -12,10 +12,17 @@ from rainbowposet import (
     canonical_key,
     make_poset,
     posets_of_size,
+    rank_partition,
 )
 from rainbowposet import catalog
 from rainbowposet.catalog import order_ideals
-from rainbowposet.poset import _canonical_search, _packed, _refined_classes, _relabeled
+from rainbowposet.poset import (
+    _canonical_search,
+    _packed,
+    _previous_twins,
+    _refined_classes,
+    _relabeled,
+)
 
 # sha256 digests of the byte streams built below, computed with the plain
 # search that keyed every extension and tried every relabeling. The cached
@@ -179,13 +186,38 @@ def _first_minimum(p, blocks):
     return best
 
 
+def test_previous_twins_share_rank_and_refined_class():
+    # Every twin user scans in index order: the forcing search along the
+    # rank order, the catalog's ideals and the canonical search class by
+    # class. That holds because a twin and its previous twin share a rank
+    # and a refined class, whose members ascend.
+    pairs = 0
+    for p in random_labeled_posets():
+        up, down = p._up, p._down
+        twin = _previous_twins(up, down)
+        brute = [
+            max((y for y in range(x) if (up[y], down[y]) == (up[x], down[x])), default=-1)
+            for x in range(p.n)
+        ]
+        assert twin == brute
+        rank = rank_partition(p)
+        blocks = _refined_classes(p, twin.count(-1))
+        block_of = {x: i for i, block in enumerate(blocks) for x in block}
+        assert all(block == sorted(block) for block in blocks)
+        for x, t in enumerate(twin):
+            if t >= 0:
+                assert rank[x] == rank[t] and block_of[x] == block_of[t]
+                pairs += 1
+    assert pairs > 1000
+
+
 def test_canonical_search_matches_brute_force():
     kinds = set()
     posets = random_labeled_posets()
     posets += [p for n in range(1, 7) for p in posets_of_size(n)]
     for p in posets:
-        blocks = _refined_classes(p)
         twins = len({(p.up_mask(x), p.down_mask(x)) for x in range(p.n)})
+        blocks = _refined_classes(p, twins)
         if len(blocks) == p.n:
             kinds.add("discrete")
         else:

@@ -229,7 +229,7 @@ class TestUniversalTree:
         # maximal element sits at the top rank
         for k in (2, 3):
             ut = universal_tree(k)
-            rank = rank_partition(ut.poset).rank
+            rank = rank_partition(ut.poset)
             for a, b in ut.poset.cover_pairs():
                 assert rank[b] == rank[a] + 1
             for x in ut.poset.maximal_elements():

@@ -24,6 +24,7 @@ from rainbowposet import (
     family_poset,
     harp,
     has_rainbow_copy,
+    height,
     is_minimal_forcing,
     is_proper,
     jay,
@@ -82,7 +83,7 @@ class TestColoring:
         assert not is_proper(chain(2), Coloring((0, 0)))
         for n in range(1, 6):
             for p in posets_of_size(n):
-                layer = Coloring.from_values(rank_partition(p).rank)
+                layer = Coloring.from_values(rank_partition(p))
                 assert is_proper(p, layer)
 
     def test_is_proper_matches_pairwise_definition(self):
@@ -438,6 +439,19 @@ def _rank_order(host):
     return sorted(range(host.n), key=lambda x: (rank[x], x))
 
 
+def test_rank_partition_is_the_longest_chain_ending_at_each_element():
+    # random labels are not linear extensions, unlike every catalog
+    # representative's, so the peel cannot lean on index order
+    hosts = random_labeled_posets()
+    hosts += [p for n in range(1, 7) for p in posets_of_size(n)]
+    hosts.append(chain(300))
+    for host in hosts:
+        rank = rank_partition(host)
+        assert list(rank) == _ranks(host), host._up
+        assert height(host) == max(rank)
+    assert rank_partition(Poset([])) == () and height(Poset([])) == 0
+
+
 def _first_refutation(host, copies):
     """The first proper coloring with no rainbow copy among `copies`, or
     None: colorings are restricted-growth strings along the rank-then-index
@@ -550,7 +564,7 @@ class TestFirstRefutation:
             m.setattr(forcing, "_never_linked", lambda *args: False)
             no_merge, no_merge_calls = self._decide_all(copy_searches)
         with monkeypatch.context() as m:
-            m.setattr(forcing, "_previous_twins", lambda up, down, order: [-1] * len(order))
+            m.setattr(forcing, "_previous_twins", lambda up, down: [-1] * len(up))
             no_twins, no_twin_calls = self._decide_all(copy_searches)
         assert no_merge == found == no_twins
         assert calls < no_merge_calls and calls < no_twin_calls
@@ -569,9 +583,9 @@ class TestFirstRefutation:
         setups = []
         previous_twins = forcing._previous_twins
 
-        def counted(up, down, order):
-            setups.append(len(order))
-            return previous_twins(up, down, order)
+        def counted(up, down):
+            setups.append(len(up))
+            return previous_twins(up, down)
 
         monkeypatch.setattr(forcing, "_previous_twins", counted)
         monkeypatch.setattr(forcing, "_never_linked", None)  # must not be called

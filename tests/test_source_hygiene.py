@@ -1,6 +1,8 @@
 """Source hygiene of the package, read with the standard `ast` module: no
-import goes unused, and no module-level private name goes unreferenced.
-A deletion that leaves an orphan behind fails here."""
+import goes unused, no module-level private name goes unreferenced, and no
+top-level function or class name is defined in two modules. A deletion
+that leaves an orphan behind, or a per-module copy of a helper, fails
+here."""
 
 import ast
 import pathlib
@@ -64,3 +66,13 @@ def test_every_private_module_name_is_referenced():
                 if name.startswith("_") and not name.startswith("__") and name not in referenced:
                     orphans.append(f"{module}.{name}")
     assert not orphans, f"defined but never referenced: {orphans}"
+
+
+def test_no_top_level_name_is_defined_in_two_modules():
+    homes = {}
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                homes.setdefault(node.name, []).append(module)
+    copies = {name: modules for name, modules in homes.items() if len(modules) > 1}
+    assert not copies, f"defined in more than one module: {copies}"

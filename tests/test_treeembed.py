@@ -106,7 +106,7 @@ class TestClassify:
 
 class TestEmbedDowntree:
     def rank_coloring(self, p):
-        return Coloring.from_values(rank_partition(p).rank)
+        return Coloring.from_values(rank_partition(p))
 
     def test_single_element_to_root(self):
         host = downtree(3, 3)
@@ -118,7 +118,7 @@ class TestEmbedDowntree:
         coloring = self.rank_coloring(host)
         root_color = coloring.colors[host.maximal_elements()[0]]
         cert = embed_on_downtree(chain(1), {root_color}, 3, coloring)
-        ranks = rank_partition(host).rank
+        ranks = rank_partition(host)
         # highest-ranked element with a usable color
         assert ranks[cert.mapping[0]] == 2
 
@@ -366,7 +366,7 @@ class TestEmbedUniversal:
 
     def test_vee_under_rank_coloring(self):
         ut = universal_tree(3)
-        coloring = Coloring.from_values(rank_partition(ut.poset).rank)
+        coloring = Coloring.from_values(rank_partition(ut.poset))
         cert = embed_universal(vee(), ut, coloring)
         assert len(set(cert.colors)) == 3
 
