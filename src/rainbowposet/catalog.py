@@ -69,16 +69,30 @@ def _posets_of_size(n: int):
 
     Candidates and forms are built from rows derived together, so no
     constructor recomputes them: a candidate's down rows are Q's plus the
-    ideal.
+    ideal. Its ranks and previous twins come from Q's too, with no new
+    rank pass or twin scan. A new maximal element changes no other
+    element's rank or down row, so every rank stays and the new element's
+    is 1 + the largest rank in the ideal. It adds itself to the up rows of
+    the ideal's elements only, so two twins of Q stay twins exactly when
+    the ideal takes both or neither. The ideal takes a prefix of each twin
+    class (the twin filter above), so a class splits at most once, and the
+    first element it leaves out loses its previous twin. The new element
+    is a twin of each maximal element of Q outside the ideal whose down
+    row is the ideal, and its previous twin is the last of those. Each
+    form keeps its candidate's ranks, one tuple object per distinct rank
+    tuple of the size.
     """
     if n < 1:
         raise CapExceeded("enumeration starts at n=1")
     if n == 1:
         return (canonical_form(Poset([0])),)
     reps = {}
+    ranks = {}  # each distinct rank tuple of the forms, kept once
     top = 1 << (n - 1)
     for q in _posets_of_size(n - 1):
         up, down = q._up, q._down
+        rank = q._rank  # every form carries its ranks
+        twin = _previous_twins(up, down)
         below = [row.bit_count() for row in down]
         # the maximal elements by invariant, largest first: the first one
         # outside an ideal is the rival its new element must not fall below
@@ -87,10 +101,13 @@ def _posets_of_size(n: int):
              for m in q.maximal_elements()),
             reverse=True,
         )
-        # (twin, the twin before it in its class), as bits
-        twins = [(1 << x, 1 << t) for x, t in enumerate(_previous_twins(up, down)) if t >= 0]
+        # (twin, the twin before it in its class) as bits, and the twin index
+        twins = [(1 << x, 1 << t, x) for x, t in enumerate(twin) if t >= 0]
+        # an ideal -> the new element's twin, the last maximal element whose
+        # down row it is
+        twin_of_ideal = {down[m]: m for m in q.maximal_elements()}
         for ideal in order_ideals(q):
-            if twins and any(ideal & x and not ideal & t for x, t in twins):
+            if twins and any(ideal & x and not ideal & t for x, t, _ in twins):
                 continue
             elems = _bits(ideal)
             new = (len(elems), sum(map(below.__getitem__, elems)))
@@ -107,10 +124,21 @@ def _posets_of_size(n: int):
             for d in elems:
                 rows[d] |= top
             rows.append(0)
-            cand = Poset._with_rows(tuple(rows), down + (ideal,))
+            cand_twin = twin + [twin_of_ideal.get(ideal, -1)]
+            for x, t, elem in twins:
+                if ideal & t and not ideal & x:
+                    cand_twin[elem] = -1
+            cand = Poset._with_rows(
+                tuple(rows),
+                down + (ideal,),
+                rank=rank + (1 + max(map(rank.__getitem__, elems), default=0),),
+                twins=cand_twin,
+            )
             key = canonical_key(cand)
             if key not in reps:
-                reps[key] = canonical_form(cand)
+                form = canonical_form(cand)
+                form._rank = ranks.setdefault(form._rank, form._rank)
+                reps[key] = form
     return tuple(reps[k] for k in sorted(reps))
 
 

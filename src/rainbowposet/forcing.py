@@ -196,7 +196,8 @@ def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
     order, or None.
 
     One loop colors the elements in rank-then-index order (ranks from
-    `rank_partition`), with one frame per colored element on a list, so
+    `rank_partition`, kept on the host: a catalog host reads the ranks the
+    catalog gave it), with one frame per colored element on a list, so
     no host is too deep to search. Each element tries the feasible
     existing colors in ascending order, then one fresh color, and a branch
     dies as soon as a rainbow copy holds the element just colored. A copy that is rainbow with an existing color

@@ -34,7 +34,7 @@ def _bits(mask: int) -> tuple:
 class Poset:
     """Immutable strict order. ``less(x, y)`` is True iff x is strictly below y."""
 
-    __slots__ = ("n", "_up", "_down", "labels", "_key", "_perm", "_form_rows")
+    __slots__ = ("n", "_up", "_down", "labels", "_key", "_perm", "_form_rows", "_rank", "_twins")
 
     def __init__(self, up, labels=None, validate=True):
         up = tuple(up)
@@ -50,21 +50,28 @@ class Poset:
         self._key = None
         self._perm = None
         self._form_rows = None
+        self._rank = None
+        self._twins = None
         if self.labels is not None and len(self.labels) != n:
             raise BadParams("label count differs from element count")
         if validate:
             self._check_invariants()
 
     @classmethod
-    def _with_rows(cls, up: tuple, down: tuple) -> "Poset":
+    def _with_rows(cls, up: tuple, down: tuple, rank=None, twins=None) -> "Poset":
         """An unlabeled poset on up and down row tuples that the caller has
         derived together from a valid order, taken as given: nothing is
-        recomputed or checked."""
+        recomputed or checked. A caller that already knows the ranks
+        (`rank_partition`) or the previous twins (`_previous_twins`) of
+        these rows passes them, and they are kept in place of a later
+        computation."""
         p = cls.__new__(cls)
         p.n = len(up)
         p._up = up
         p._down = down
         p.labels = p._key = p._perm = p._form_rows = None
+        p._rank = rank
+        p._twins = twins
         return p
 
     def _check_invariants(self):
@@ -237,22 +244,27 @@ def adjoin_extremum(p: Poset, side: str) -> Poset:
 
 def rank_partition(p: Poset) -> tuple:
     """Per element, its 1-based rank: the number of elements on a longest
-    chain ending at it. Layer r, the elements of rank r, is peeled off as
-    the minimal elements of what the layers below leave."""
-    n = p.n
-    down = p._down
-    rank = [0] * n
-    remaining = (1 << n) - 1
-    r = 0
-    while remaining:
-        r += 1
-        layer = 0
-        for x in _bits(remaining):
-            if not down[x] & remaining:
-                rank[x] = r
-                layer |= 1 << x
-        remaining ^= layer
-    return tuple(rank)
+    chain ending at it. Computed once per poset and kept on it.
+
+    One pass visits the elements in order of |down|, a linear extension
+    (an element lies above only elements with smaller down rows), and
+    keeps one mask per rank of the elements visited so far: an element
+    takes 1 + the highest rank its down row meets."""
+    if p._rank is None:
+        down = p._down
+        rank = [0] * p.n
+        layers = []  # layers[r]: the visited elements of rank r + 1
+        for x in sorted(range(p.n), key=[row.bit_count() for row in down].__getitem__):
+            below = down[x]
+            r = len(layers)
+            while r and not below & layers[r - 1]:
+                r -= 1
+            if r == len(layers):
+                layers.append(0)
+            layers[r] |= 1 << x
+            rank[x] = r + 1
+        p._rank = tuple(rank)
+    return p._rank
 
 
 def height(p: Poset) -> int:
@@ -313,6 +325,11 @@ def _refined_classes(p: Poset, twin_classes: int):
     a signature, so a partition into `twin_classes` classes, all twins, a
     discrete one among them, cannot split: the loop stops there without a
     round that would only confirm it.
+
+    A round gives each element its class code and the sorted codes of its
+    up and down rows. The member of a one-element class gets its code
+    alone: no other signature starts with that code, so the classes, their
+    order and the stopping test are those of the full signatures.
     """
     n = p.n
     up, down = p._up, p._down
@@ -324,14 +341,20 @@ def _refined_classes(p: Poset, twin_classes: int):
         code = {s: i for i, s in enumerate(sorted(set(sig)))}
         if len(code) == twin_classes:
             break
-        coded = [code[s] for s in sig].__getitem__
+        codes = [code[s] for s in sig]
+        size = [0] * len(code)
+        for c in codes:
+            size[c] += 1
+        coded = codes.__getitem__
         new = [
             (
-                coded(x),
+                c,
                 tuple(sorted(map(coded, _bits(up[x])))),
                 tuple(sorted(map(coded, _bits(down[x])))),
             )
-            for x in range(n)
+            if size[c] > 1
+            else (c,)
+            for x, c in enumerate(codes)
         ]
         if len(set(new)) == len(code):
             break
@@ -412,14 +435,17 @@ def _canonical_search(p: Poset):
     the same block, is placed. Swapping two twins is an automorphism, so a
     skipped subtree holds the same bit strings as a tried one, and the
     first minimal leaf (hence the permutation) is the one the unpruned
-    search finds.
+    search finds. The previous twins are computed once per poset and kept
+    on it.
 
     When the search has one leaf, its relabeled rows are the canonical
     form's, and p keeps them for `canonical_form`.
     """
     n = p.n
     up, down = p._up, p._down
-    twin = _previous_twins(up, down)
+    if p._twins is None:
+        p._twins = _previous_twins(up, down)
+    twin = p._twins
     twin_classes = twin.count(-1)
     slots = _refined_classes(p, twin_classes)
     if len(slots) == twin_classes:
@@ -484,10 +510,14 @@ def canonical_form(p: Poset) -> Poset:
     """Relabeled copy realizing the canonical key. It carries that key and
     the identity permutation, which is what its own search would find: its
     refined classes are consecutive index ranges and identity is the first
-    relabeling that reproduces its rows."""
+    relabeling that reproduces its rows. It also carries p's ranks, moved
+    through the same permutation."""
     if p._key is None:
         canonical_key(p)
-    form = Poset._with_rows(*(p._form_rows or _relabeled(p, p._perm)))
+    rank = p._rank  # filled by the search behind the key, or carried by a form
+    form = Poset._with_rows(
+        *(p._form_rows or _relabeled(p, p._perm)), rank=tuple(map(rank.__getitem__, p._perm))
+    )
     form._key = p._key
     form._perm = _identity(p.n)
     return form

@@ -137,6 +137,49 @@ def test_representatives_inherit_their_down_rows():
         assert p._down == Poset(p._up)._down
 
 
+def test_representatives_keep_their_ranks():
+    # each form carries its candidate's ranks moved through the relabeling,
+    # and the forms of one size share one tuple object per rank tuple
+    for n in range(1, 9):
+        for p in posets_of_size(n, 8):
+            assert p._rank == rank_partition(Poset(p._up))
+    size8 = posets_of_size(8, 8)
+    assert len({p._rank for p in size8}) == 212
+    assert len({id(p._rank) for p in size8}) == 212
+
+
+def test_candidates_are_seeded_with_their_parents_ranks_and_twins(monkeypatch):
+    # every keyed candidate gets its ranks and previous twins from its
+    # parent and the ideal, and they are those a fresh rank pass and twin
+    # scan give
+    seeded = []
+    with_rows = Poset._with_rows
+
+    def recorded(up, down, rank=None, twins=None):
+        p = with_rows(up, down, rank, twins)
+        if twins is not None:
+            seeded.append(p)
+        return p
+
+    monkeypatch.setattr(Poset, "_with_rows", staticmethod(recorded))
+    catalog._posets_of_size.cache_clear()
+    try:
+        posets_of_size(7)
+    finally:
+        catalog._posets_of_size.cache_clear()
+    assert len(seeded) == sum(KEYED[n] for n in range(2, 8))
+    for p in seeded:
+        assert p._twins == _previous_twins(p._up, p._down)
+        assert p._rank == rank_partition(Poset(p._up))
+
+
+def test_every_slot_is_bound_by_every_constructor():
+    p = make_poset(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    built = [p, Poset._with_rows(p._up, p._down), canonical_form(p)]
+    for q in built:
+        assert all(hasattr(q, slot) for slot in Poset.__slots__), q
+
+
 def test_cached_keys_match_fresh_keys():
     for n in range(1, 8):
         for p in posets_of_size(n):

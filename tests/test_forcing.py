@@ -21,6 +21,7 @@ from rainbowposet import (
     complete_multilevel,
     diamond,
     disjoint_sum,
+    dual,
     family_poset,
     harp,
     has_rainbow_copy,
@@ -450,6 +451,14 @@ def test_rank_partition_is_the_longest_chain_ending_at_each_element():
         assert list(rank) == _ranks(host), host._up
         assert height(host) == max(rank)
     assert rank_partition(Poset([])) == () and height(Poset([])) == 0
+
+
+def test_rank_partition_of_deep_chains():
+    # one pass over the elements, so a deep host costs no pass per layer;
+    # the dual's labels run down the chain, against index order
+    deep = chain(1500)
+    assert rank_partition(deep) == tuple(range(1, 1501))
+    assert rank_partition(dual(deep)) == tuple(range(1500, 0, -1))
 
 
 def _first_refutation(host, copies):
