@@ -5,7 +5,9 @@ families. Patterns are preprocessed once into a plan holding, for every
 possible anchor vertex, a static search order, and the up- and down-degree
 of every distinct role. The first search from an anchor role, colored or
 not, compiles that order into one function of nested loops, one loop per
-step; it stops at the first copy, which the kernel returns.
+step; it stops at the first copy, which the kernel returns. Images of twin
+pattern elements are taken in ascending order, so a search that finds no
+copy tries each set of twin images once.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ def _order_from(pattern_up, pattern_down, first):
     return order
 
 
-def _search_source(pattern_up, pattern_down, order, anchored, colored):
+def _search_source(pattern_up, pattern_down, twins, order, anchored, colored):
     """Python source of `_search`, the depth-first search along `order`;
     when `anchored`, step 0 is the anchor x0, which `avail` leaves out.
+    `twins` lists each pattern element's previous twin (`_previous_twins`).
 
     Step i binds the host image x{i} in a loop over the set bits of its
     candidate mask c{i}, lowest first. Every candidate lies in `avail`, so
@@ -48,9 +51,19 @@ def _search_source(pattern_up, pattern_down, order, anchored, colored):
     lies above step j, down[x{j}] when below, ~(up[x{j}] | down[x{j}] |
     b{j}) when incomparable (b{j} = 1 << x{j}, so the used element is out).
     p{i}_{j} is step i's mask after the terms of steps 0..j (two steps
-    with the same mask share one name). With colors, s{i} holds the color
-    bits of x0..x{i}, and a candidate whose color is taken is skipped. The
-    first complete copy is returned as [x0, ..., x{m-1}].
+    with the same mask share one name, bound before a loop takes bits out
+    of it). With colors, s{i} holds the color
+    bits of x0..x{i}, and a candidate whose color is taken is skipped.
+
+    The search returns the first complete copy, [x0, ..., x{m-1}], in the
+    index order of the images along the steps. Twin images ascend in it:
+    swapping two twins' images gives a copy on the same elements, so the
+    later image of a first copy is the larger one (unless the earlier is
+    the anchor, which the swap would move). So a step whose element has a
+    twin at an earlier step j, other than the anchor, starts from c{j}
+    after x{j} is taken out: the candidates of step j above x{j}, which
+    relate to steps 0..j-1 as step i must. It tries each set of twin
+    images once and still returns the same first copy.
     """
     m = len(order)
     lines = [f"def _search(up, down, avail, colors{', x0' if anchored else ''}):"]
@@ -58,23 +71,44 @@ def _search_source(pattern_up, pattern_down, order, anchored, colored):
     def emit(depth, text):
         lines.append("    " * depth + text)
 
+    # after[i]: the last earlier step whose element is a twin of step i's,
+    # other than the anchor, or -1
+    root, last, after = [], {}, []
+    for v, twin in enumerate(twins):
+        root.append(v if twin < 0 else root[twin])
+    for i, v in enumerate(order):
+        after.append(last.get(root[v], -1))
+        if i or not anchored:
+            last[root[v]] = i
     masks = ["avail"] * m  # each step's candidate mask so far, as an expression
 
     def narrow(j, depth, leave):
-        """The terms of x{j} on every later step, after x{j} is bound."""
-        rels = []
+        """The terms of x{j} on every later step, after x{j} is bound; a
+        step with a later twin step than j restarts from that one's mask."""
+        rels = {}
         for k in range(j + 1, m):
-            if pattern_up[order[j]] >> order[k] & 1:
-                rels.append("up")
+            if after[k] == j:
+                rels[k] = "twin"
+            elif after[k] > j:
+                continue
+            elif pattern_up[order[j]] >> order[k] & 1:
+                rels[k] = "up"
             elif pattern_down[order[j]] >> order[k] & 1:
-                rels.append("down")
+                rels[k] = "down"
             else:
-                rels.append("incomp")
-        incomp = rels.count("incomp")
+                rels[k] = "incomp"
+
+        def base(k):
+            return f"c{j}" if rels[k] == "twin" else masks[k]
+
+        # one term per distinct mask: a row read once is not named
+        kinds = [kind for _, kind in {(base(k), kind) for k, kind in rels.items()}]
+        incomp = kinds.count("incomp")
+        unrelated = (incomp > 0) + ("twin" in kinds)
         rows = {}
         for row in ("up", "down"):
             rows[row] = f"{row}[x{j}]"
-            if rels.count(row) + (incomp > 0) > 1:
+            if kinds.count(row) + unrelated > 1:
                 emit(depth, f"{row[0]}{j} = {rows[row]}")
                 rows[row] = f"{row[0]}{j}"
         # the anchor is not in `avail`, so its own bit needs no clearing
@@ -84,8 +118,15 @@ def _search_source(pattern_up, pattern_down, order, anchored, colored):
         if incomp > 1:
             emit(depth, f"n{j} = {terms['incomp']}")
             terms["incomp"] = f"n{j}"
+        # what is left of c{j} lies above x{j}, and b{j} is out of it
+        terms["twin"] = f"~({rows['up']} | {rows['down']})"
+
+        def mask(k):
+            return f"{base(k)} & {terms[rels[k]]}"
+
         k = j + 1
-        emit(depth, f"c{k} = {masks[k]} & {terms[rels[0]]}")
+        first = mask(k)
+        emit(depth, f"c{k} = {first}")
         if k == m - 1 and not colored:  # any candidate completes the copy
             emit(depth, f"if c{k}:")
             images = ", ".join(f"x{i}" for i in range(k))
@@ -93,13 +134,16 @@ def _search_source(pattern_up, pattern_down, order, anchored, colored):
             return
         emit(depth, f"if not c{k}:")
         emit(depth + 1, leave)
+        # c{k} is still whole here: its loop has not taken a bit out yet
         named = {}
-        for k in range(j + 2, m):
-            mask = f"{masks[k]} & {terms[rels[k - j - 1]]}"
-            if mask not in named:
-                named[mask] = f"p{k}_{j}"
-                emit(depth, f"{named[mask]} = {mask}")
-            masks[k] = named[mask]
+        for k in rels:
+            if k == j + 1:
+                continue
+            text = mask(k)
+            if text not in named:
+                named[text] = f"p{k}_{j}"
+                emit(depth, f"{named[text]} = {f'c{j + 1}' if text == first else text}")
+            masks[k] = named[text]
         loop(j + 1, depth)
 
     def loop(i, depth):
@@ -137,12 +181,13 @@ class _Searches(dict):
     """The compiled searches of one plan in one coloring mode, keyed by the
     anchor's role (None: no anchor), each compiled on its first use."""
 
-    __slots__ = ("pattern_up", "pattern_down", "orders", "colored")
+    __slots__ = ("pattern_up", "pattern_down", "twins", "orders", "colored")
 
-    def __init__(self, pattern_up, pattern_down, orders, colored):
+    def __init__(self, pattern_up, pattern_down, twins, orders, colored):
         super().__init__()
         self.pattern_up = pattern_up
         self.pattern_down = pattern_down
+        self.twins = twins
         self.orders = orders
         self.colored = colored
 
@@ -150,6 +195,7 @@ class _Searches(dict):
         source = _search_source(
             self.pattern_up,
             self.pattern_down,
+            self.twins,
             self.orders[first],
             first is not None,
             self.colored,
@@ -171,7 +217,10 @@ class PatternPlan:
     `roles` holds one (v, |up(v)|, |down(v)|) per distinct (up row, down
     row) pair of the pattern: v is the first element with that pair, the
     one with no previous twin. `searches[colored][first]` is the compiled
-    search along `orders[first]`, built when first used.
+    search along `orders[first]`, built when first used. It returns the
+    first copy in the index order of the images along the steps, and tries
+    the images of twins, found once per plan, in ascending order only; the
+    first copy has them so (see `_search_source`).
     """
 
     __slots__ = ("m", "orders", "roles", "searches")
@@ -182,13 +231,14 @@ class PatternPlan:
             first: tuple(_order_from(pattern_up, pattern_down, first))
             for first in [None, *range(m)]
         }
+        twins = _previous_twins(pattern_up, pattern_down)
         self.roles = tuple(
             (v, pattern_up[v].bit_count(), pattern_down[v].bit_count())
-            for v, twin in enumerate(_previous_twins(pattern_up, pattern_down))
+            for v, twin in enumerate(twins)
             if twin < 0
         )
         self.searches = tuple(
-            _Searches(pattern_up, pattern_down, self.orders, colored)
+            _Searches(pattern_up, pattern_down, twins, self.orders, colored)
             for colored in (False, True)
         )
 
@@ -207,7 +257,9 @@ def exists_copy(host_up, host_down, plan, *, active=None, colors=None, anchor=No
     host elements, with pairwise-distinct colors when `colors` is given and
     containing `anchor` when given: a list of host elements in the order of
     the search's steps, the anchor first; None when there is none, and True
-    for the empty pattern.
+    for the empty pattern. The copy is the first of its search in the index
+    order of the images along the steps, and the images of twin pattern
+    elements ascend in it, except against the anchor.
 
     An anchored call tries the anchor in each distinct role of the pattern,
     skipping a role whose up- or down-degree exceeds the number of active
