@@ -19,6 +19,7 @@ from ._copies import exists_copy, plan_for
 from .errors import BadParams, ForcingTimeout, PreconditionViolated
 from .poset import (
     Poset,
+    _bits,
     _previous_twins,
     canonical_key,
     dual,
@@ -119,23 +120,35 @@ def proper_colorings(p: Poset):
 
 def random_proper_coloring(p: Poset, rng) -> Coloring:
     """Color elements in random order, choosing uniformly among feasible
-    existing colors plus one fresh color."""
+    existing colors plus one fresh color.
+
+    An existing color is feasible for e unless a colored element
+    comparable to e has it, so each pick reads only those elements,
+    comp[e] & colored, not every color class. The count of feasible colors
+    is the same, so rng.randrange gets the same argument; stepping over the
+    sorted taken colors finds the pick-th feasible color in ascending
+    order, the one the list of feasible classes held at that index. So the
+    draws, the coloring and rng's final state are unchanged."""
     n = p.n
     order = list(range(n))
     rng.shuffle(order)
     comp = [p.up_mask(x) | p.down_mask(x) for x in range(n)]
     colors = [-1] * n
-    class_masks = []
+    colored = num = 0
     for e in order:
-        feasible = [c for c, m in enumerate(class_masks) if not m & comp[e]]
-        pick = rng.randrange(len(feasible) + 1)
-        if pick == len(feasible):
-            colors[e] = len(class_masks)
-            class_masks.append(1 << e)
+        taken = sorted({colors[x] for x in _bits(comp[e] & colored)})
+        free = num - len(taken)
+        c = rng.randrange(free + 1)
+        if c == free:
+            c = num
+            num += 1
         else:
-            c = feasible[pick]
-            colors[e] = c
-            class_masks[c] |= 1 << e
+            for t in taken:
+                if t > c:
+                    break
+                c += 1
+        colors[e] = c
+        colored |= 1 << e
     return Coloring.from_values(colors)
 
 

@@ -257,33 +257,89 @@ def random_downtree_coloring(k: int, h: int, rng):
     colors plus one fresh color, by rejection. A drawn existing color is
     rejected if an ancestor or, for an inner node, its subtree has it.
 
+    Each draw is tested against only the colored nodes it can conflict
+    with, e's ancestors and, for an inner node, its subtree, with no walk
+    of the tree per draw:
+      - a node above depth h-3 keeps paths[v], the colors on its root path;
+        a color drawn for such a node joins the sets of its subtree's nodes
+        above that depth, one index range per level;
+      - a leaf tests its parent's color, its grandparent's color and its
+        great-grandparent's path set;
+      - an inner node tests its parent's color and its grandparent's path
+        set at depth h-2, its parent's path set at depth h-3 and its own
+        set above, then the colors below it: its k leaves as one slice at
+        depth h-2, the whole list at the root (which is uncolored, and no
+        slice is copied), else a set built from one slice per level. No
+        other node is colored while e draws, so these are read once per
+        node.
+    A draw is rejected exactly when the ancestor walk and subtree scan
+    used to reject it, so the stream of draws, the colors and rng's final
+    state are unchanged. colors[size:] and paths[top:] hold three
+    uncolored, empty stand-ins for the levels above the root: index
+    arithmetic takes the root's parent to -1 and, in a chain, on to -2 and
+    -3. The stand-ins of colors are cut off at the end.
+
     The host holds nothing per node but the returned list of colors: the
     shuffled order is an array of machine ints, and every node of color r
     holds palette[r], the one int object of that color."""
     if k < 1 or h < 1:
         raise BadParams("host needs k, h >= 1")
-    size = sum(k**d for d in range(h))
-    colors = [-1] * size
+    first = [0]  # first[d]: the first node at depth d; first[h] is the size
+    for _ in range(h):
+        first.append(first[-1] * k + 1)
+    size, leaves = first[h], first[h - 1]
+    mid, top = first[max(h - 2, 0)], first[max(h - 3, 0)]
+    colors = [-1] * (size + 3)
+    paths = [set() for _ in range(top)] + [frozenset()] * 3
     palette = []  # palette[r] is color r's one int object
     num = 0
     rnd = rng.random
-    leaves = size - k ** (h - 1)
     for e in _shuffled_range(size, rng):
+        p = (e - 1) // k
+        if e >= leaves:
+            g = (p - 1) // k
+            up1, up2, s = colors[p], colors[g], paths[(g - 1) // k]
+            while True:
+                r = int(rnd() * (num + 1))
+                if r >= num:
+                    palette.append(r)
+                    num += 1
+                    break
+                if r != up1 and r != up2 and r not in s:
+                    break
+            colors[e] = palette[r]
+            continue
+        if e >= mid:  # depth h-2
+            up1, s = colors[p], paths[(p - 1) // k]
+            below = colors[k * e + 1 : k * e + k + 1]
+        else:
+            up1, s = -1, (paths[p] if e >= top else paths[e])
+            if e == 0:
+                below = colors
+            else:
+                below = set()
+                lo = k * e + 1
+                hi = lo + k
+                while lo < size:
+                    below.update(colors[lo:hi])
+                    lo = k * lo + 1
+                    hi = k * hi + 1
         while True:
             r = int(rnd() * (num + 1))
             if r >= num:
                 palette.append(r)
                 num += 1
                 break
-            a = e
-            while a:
-                a = (a - 1) // k
-                if colors[a] == r:
-                    break
-            else:  # no ancestor has r; a leaf has no subtree to scan
-                if e >= leaves or not _color_in_subtree(colors, k, e, r):
-                    break
-        colors[e] = palette[r]
+            if r != up1 and r not in s and r not in below:
+                break
+        c = colors[e] = palette[r]
+        lo, hi = e, e + 1
+        while lo < top:  # c joins the path sets of e's subtree above h-3
+            for v in range(lo, hi):
+                paths[v].add(c)
+            lo = k * lo + 1
+            hi = k * hi + 1
+    del colors[size:]
     return colors
 
 

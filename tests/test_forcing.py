@@ -13,6 +13,7 @@ from rainbowposet import (
     ForcingTimeout,
     Poset,
     PreconditionViolated,
+    SetFamily,
     antichain,
     are_isomorphic,
     blowup,
@@ -42,6 +43,7 @@ from rainbowposet import (
     rank_partition,
     refuting_coloring,
     search_M,
+    universal_tree,
     vee,
     verify_linear_sum_closure,
 )
@@ -53,6 +55,28 @@ from test_poset import naive_induced_copies
 # sha256 of (forces, refutation) from rainbow_forces for 150 seeded random
 # labeled posets on 2..8 elements against the 24 patterns on 1..4 elements.
 REFUTE_DIGEST = "ba8c284d26d91e6036598a995685e45da01dbf67e127792cc9ddc568406e545a"
+
+
+def reference_proper_coloring(p, rng):
+    """random_proper_coloring as it was before each pick read only the
+    colored comparable elements: every color class is tested against e."""
+    n = p.n
+    order = list(range(n))
+    rng.shuffle(order)
+    comp = [p.up_mask(x) | p.down_mask(x) for x in range(n)]
+    colors = [-1] * n
+    class_masks = []
+    for e in order:
+        feasible = [c for c, m in enumerate(class_masks) if not m & comp[e]]
+        pick = rng.randrange(len(feasible) + 1)
+        if pick == len(feasible):
+            colors[e] = len(class_masks)
+            class_masks.append(1 << e)
+        else:
+            c = feasible[pick]
+            colors[e] = c
+            class_masks[c] |= 1 << e
+    return Coloring.from_values(colors)
 
 
 @pytest.fixture
@@ -110,6 +134,19 @@ class TestColoring:
         for n in (3, 5, 7):
             for p in posets_of_size(n)[::7]:
                 assert is_proper(p, random_proper_coloring(p, rng))
+
+    def test_random_coloring_matches_the_reference(self):
+        # the same coloring and the same final rng state, draw for draw
+        cases = [(p, 3) for n in range(1, 6) for p in posets_of_size(n)]
+        cases += [(universal_tree(2).poset, 5), (universal_tree(3).poset, 3)]
+        cases += [(chain(30), 3), (antichain(12), 3)]
+        cases += [(family_poset(SetFamily(4, tuple(range(16)))), 3)]
+        for p, seeds in cases:
+            for s in range(seeds):
+                want, got = random.Random(s), random.Random(s)
+                expected = reference_proper_coloring(p, want)
+                assert random_proper_coloring(p, got) == expected, (p.n, s)
+                assert got.getstate() == want.getstate(), (p.n, s)
 
     def test_enumeration_matches_bruteforce_count(self):
         # every canonical proper coloring once: cross-count via recoloring

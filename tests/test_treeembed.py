@@ -50,6 +50,49 @@ UNIVERSAL_DIGEST = "3ee0ca591d1cf3cf5819a072d23f81aabb965e6190b06793ae77809c058e
 COLOR_DIGEST = "1dbe29616f1b01d5c7da767e0608a5502a8b10dfd01253d796bb92f83746760d"
 
 
+def _reference_color_in_subtree(colors, k, v, c):
+    """The subtree scan of the reference generator below, unchanged."""
+    if v == 0:
+        return c in colors
+    lo = hi = v
+    size = len(colors)
+    while lo < size:
+        if c in colors[lo : hi + 1]:
+            return True
+        lo = k * lo + 1
+        hi = k * hi + k
+    return False
+
+
+def reference_downtree_coloring(k, h, rng):
+    """random_downtree_coloring as it was before each draw read its
+    ancestors from path sets: every draw walks all of e's ancestors and
+    scans e's whole subtree, e included."""
+    size = sum(k**d for d in range(h))
+    colors = [-1] * size
+    palette = []
+    num = 0
+    rnd = rng.random
+    leaves = size - k ** (h - 1)
+    for e in treeembed._shuffled_range(size, rng):
+        while True:
+            r = int(rnd() * (num + 1))
+            if r >= num:
+                palette.append(r)
+                num += 1
+                break
+            a = e
+            while a:
+                a = (a - 1) // k
+                if colors[a] == r:
+                    break
+            else:  # no ancestor has r; a leaf has no subtree to scan
+                if e >= leaves or not _reference_color_in_subtree(colors, k, e, r):
+                    break
+        colors[e] = palette[r]
+    return colors
+
+
 def tree_posets_on(n):
     return [p for p in posets_of_size(n) if is_tree_poset(p)]
 
@@ -228,6 +271,19 @@ class TestArithmeticHost:
                 cols = random_downtree_coloring(k, k, random.Random(f"color-{k}-{s}"))
                 digest.update(repr(cols).encode() + b"\n")
         assert digest.hexdigest() == COLOR_DIGEST
+
+    def test_colorings_match_the_reference(self):
+        # every depth boundary of the path sets, heights below 4 included:
+        # the same colors and the same final rng state, draw for draw
+        for k in range(1, 7):
+            for h in range(1, 8):
+                if sum(k**d for d in range(h)) > 60_000:
+                    continue
+                for s in range(3):
+                    want, got = random.Random(s), random.Random(s)
+                    expected = reference_downtree_coloring(k, h, want)
+                    assert random_downtree_coloring(k, h, got) == expected, (k, h, s)
+                    assert got.getstate() == want.getstate(), (k, h, s)
 
     def test_colorings_are_proper(self):
         # the host order walks parents on its own; a node's ancestors come
