@@ -9,7 +9,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import BadParams, CapExceeded
-from .poset import Poset, _bits, _previous_twins, canonical_form, canonical_key
+from .poset import Poset, _bits, _previous_twins, canonical_form, canonical_key, poset_to_text
 
 DEFAULT_CAP = 7
 
@@ -169,20 +169,11 @@ def posets_by_triangular_filter(n: int):
         for i, (a, b) in enumerate(pairs):
             if mask >> i & 1:
                 rows[a] |= 1 << b
-        ok = True
-        for x in range(n):
-            rest = rows[x]
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                rest ^= low
-                if rows[y] & ~rows[x]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            keys.add(canonical_key(Poset(rows, validate=False)))
+        try:
+            p = Poset(rows)
+        except BadParams:  # not transitive
+            continue
+        keys.add(canonical_key(p))
     return sorted(keys)
 
 
@@ -197,30 +188,17 @@ def posets_by_relation_filter(n: int):
         for i, (a, b) in enumerate(cells):
             if mask >> i & 1:
                 rows[a] |= 1 << b
-        ok = True
-        for x in range(n):
-            if rows[x] >> x & 1:
-                ok = False
-                break
-            rest = rows[x]
-            while rest and ok:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                rest ^= low
-                if rows[y] >> x & 1 or rows[y] & ~rows[x]:
-                    ok = False
-            if not ok:
-                break
-        if ok:
-            keys.add(canonical_key(Poset(rows, validate=False)))
+        try:
+            p = Poset(rows)
+        except BadParams:  # not a strict order
+            continue
+        keys.add(canonical_key(p))
     return sorted(keys)
 
 
 def dump_catalog(directory: str, max_n: int) -> dict:
     """Write one poset text file per class, named by canonical-key hash,
     plus a manifest listing counts per size. Returns the manifest."""
-    from .poset import poset_to_text
-
     _check_max_n(max_n)
     os.makedirs(directory, exist_ok=True)
     counts = {}

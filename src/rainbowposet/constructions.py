@@ -10,6 +10,7 @@ from .poset import (
     adjoin_extremum,
     check_poset_size,
     disjoint_sum,
+    dual,
     linear_sum,
     make_poset,
     perp_value,
@@ -131,8 +132,6 @@ def downtree(k: int, h: int) -> Poset:
 
 
 def uptree(k: int, h: int) -> Poset:
-    from .poset import dual
-
     return dual(downtree(k, h))
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 from ._copies import exists_copy, plan_for
 from .catalog import order_ideals
 from .errors import BadParams, CapExceeded
-from .forcing import Coloring, _forces, has_rainbow_copy, is_proper, refuting_coloring
+from .forcing import Coloring, _forces, has_rainbow_copy, is_proper, rainbow_forces
 from .poset import Poset, _bits, _read_header
 
 LA_STAR_CAP = 4
@@ -64,14 +64,14 @@ class SetFamily:
 
 def family_poset(f: SetFamily) -> Poset:
     """Containment order on the family's sets (bridge to the forcing module)."""
-    rows = []
-    for a in f.sets:
-        row = 0
+    up = [0] * len(f.sets)
+    down = [0] * len(f.sets)
+    for i, a in enumerate(f.sets):
         for j, b in enumerate(f.sets):
             if a != b and a & b == a:
-                row |= 1 << j
-        rows.append(row)
-    return Poset(rows, validate=False)
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return Poset._with_rows(tuple(up), tuple(down))
 
 
 def lubell_mass(f: SetFamily) -> Fraction:
@@ -293,10 +293,10 @@ def la_rainbow_star(n: int, pattern: Poset) -> LaResult:
     coloring of it; n <= 4. A subfamily of a refutable family is refutable,
     so `la_star`'s include-first search applies."""
     res = _largest_family(n, "la_rainbow_star", _refutable, pattern)
-    coloring = refuting_coloring(family_poset(res.witness), pattern, None)
-    if coloring is None:
+    verdict = rainbow_forces(family_poset(res.witness), pattern, None)
+    if verdict.forces:
         raise AssertionError("the refutable witness has no refuting coloring")
-    return replace(res, coloring=coloring)
+    return replace(res, coloring=verdict.refutation)
 
 
 def middle_layers(n: int, k: int, include_extremes: bool = False) -> SetFamily:
@@ -363,10 +363,10 @@ def iter_antichain_families(n: int):
     """All antichain families of the cube (including the empty family), in
     ascending order of their down-closures: an antichain is the set of
     maximal sets of exactly one order ideal of the containment order."""
-    up, _ = _cube_rows(n)
+    up, down = _cube_rows(n)
     return [
         SetFamily.from_masks(n, [m for m in _bits(ideal) if not up[m] & ideal])
-        for ideal in order_ideals(Poset(up, validate=False))
+        for ideal in order_ideals(Poset._with_rows(up, down))
     ]
 
 

@@ -213,12 +213,12 @@ def _refuting_colors(host: Poset, pattern: Poset, budget_s) -> Optional[list]:
     catalog gave it), with one frame per colored element on a list, so
     no host is too deep to search. Each element tries the feasible
     existing colors in ascending order, then one fresh color, and a branch
-    dies as soon as a rainbow copy holds the element just colored. A copy that is rainbow with an existing color
-    stays rainbow with a fresh one, and a copy found with any color stays
-    rainbow under every color that its other elements do not use. So one
-    copy search with the fresh color decides most colors, and only those on
-    the copy it finds get a search of their own. The clock is read at
-    every 256th node.
+    dies as soon as a rainbow copy holds the element just colored. A copy
+    that is rainbow with an existing color stays rainbow with a fresh one,
+    and a copy found with any color stays rainbow under every color that
+    its other elements do not use. So one copy search with the fresh color
+    decides most colors, and only those on the copy it finds get a search
+    of their own. The clock is read at every 256th node.
 
     Colors are tried in ascending order, so the refutation found is the
     lexicographically first restricted-growth string along the order, and

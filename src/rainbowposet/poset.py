@@ -36,56 +36,56 @@ class Poset:
 
     __slots__ = ("n", "_up", "_down", "labels", "_key", "_perm", "_form_rows", "_rank", "_twins")
 
-    def __init__(self, up, labels=None, validate=True):
+    def __init__(self, up, labels=None):
+        """A poset on up rows that come from outside. The down rows are
+        computed here, and the rows are always checked: a bit at or past n,
+        an element below itself, a pair related both ways, a relation that
+        is not transitive, or a label count other than n raises BadParams.
+        A builder that derives both row sets from a valid order uses
+        `_with_rows` instead."""
         up = tuple(up)
         n = len(up)
+        labels = tuple(labels) if labels is not None else None
+        if labels is not None and len(labels) != n:
+            raise BadParams("label count differs from element count")
+        for x, row in enumerate(up):
+            if row >> n:
+                raise BadParams(f"relation row {x} references elements >= n")
         down = [0] * n
         for x in range(n):
             for y in _bits(up[x]):
                 down[y] |= 1 << x
-        self.n = n
-        self._up = up
-        self._down = tuple(down)
-        self.labels = tuple(labels) if labels is not None else None
-        self._key = None
-        self._perm = None
-        self._form_rows = None
-        self._rank = None
-        self._twins = None
-        if self.labels is not None and len(self.labels) != n:
-            raise BadParams("label count differs from element count")
-        if validate:
-            self._check_invariants()
-
-    @classmethod
-    def _with_rows(cls, up: tuple, down: tuple, rank=None, twins=None) -> "Poset":
-        """An unlabeled poset on up and down row tuples that the caller has
-        derived together from a valid order, taken as given: nothing is
-        recomputed or checked. A caller that already knows the ranks
-        (`rank_partition`) or the previous twins (`_previous_twins`) of
-        these rows passes them, and they are kept in place of a later
-        computation."""
-        p = cls.__new__(cls)
-        p.n = len(up)
-        p._up = up
-        p._down = down
-        p.labels = p._key = p._perm = p._form_rows = None
-        p._rank = rank
-        p._twins = twins
-        return p
-
-    def _check_invariants(self):
-        up, down, n = self._up, self._down, self.n
         for x in range(n):
             if up[x] >> x & 1:
                 raise BadParams(f"relation is not irreflexive at {x}")
             if up[x] & down[x]:
                 raise BadParams(f"relation is not antisymmetric at {x}")
-            if up[x] >> n:
-                raise BadParams(f"relation row {x} references elements >= n")
             for y in _bits(up[x]):
                 if up[y] & ~up[x]:
                     raise BadParams(f"relation is not transitive at {x} < {y}")
+        self.n = n
+        self._up = up
+        self._down = tuple(down)
+        self.labels = labels
+        self._key = self._perm = self._form_rows = self._rank = self._twins = None
+
+    @classmethod
+    def _with_rows(cls, up: tuple, down: tuple, rank=None, twins=None, labels=None) -> "Poset":
+        """A poset on up and down row tuples, and a label tuple or None,
+        that a builder has derived together from a valid order, taken as
+        given: nothing is recomputed or checked. A caller that already
+        knows the ranks (`rank_partition`) or the previous twins
+        (`_previous_twins`) of these rows passes them, and they are kept in
+        place of a later computation."""
+        p = cls.__new__(cls)
+        p.n = len(up)
+        p._up = up
+        p._down = down
+        p.labels = labels
+        p._key = p._perm = p._form_rows = None
+        p._rank = rank
+        p._twins = twins
+        return p
 
     # --- basic queries ---------------------------------------------------
 
@@ -130,20 +130,12 @@ class Poset:
     def restrict(self, elements) -> "Poset":
         """Induced subposet on the given elements (kept in sorted order)."""
         elems = sorted(elements)
-        pos = {e: i for i, e in enumerate(elems)}
-        if len(pos) != len(elems):
+        if len(set(elems)) != len(elems):
             raise BadParams("duplicate elements in restriction")
-        rows = []
-        for e in elems:
-            row = 0
-            for f in _bits(self._up[e]):
-                if f in pos:
-                    row |= 1 << pos[f]
-            rows.append(row)
         labels = None
         if self.labels is not None:
             labels = tuple(self.labels[e] for e in elems)
-        return Poset(rows, labels=labels, validate=False)
+        return Poset._with_rows(*_relabeled(self, elems), labels=labels)
 
     def delete(self, x: int) -> "Poset":
         return self.restrict([e for e in range(self.n) if e != x])
@@ -169,11 +161,18 @@ def check_poset_size(n: int, what: str) -> None:
 def make_poset(n: int, covers, labels=None) -> Poset:
     """Poset whose relation is the transitive closure of the given cover arcs.
 
-    Raises CyclicInput if the arcs contain a directed cycle.
+    The up rows close along the arcs in reverse topological order and the
+    down rows in topological order, so neither is checked again. Raises
+    BadParams for an arc outside 0..n-1 or a label count other than n, and
+    CyclicInput if the arcs contain a directed cycle.
     """
     if n < 0:
         raise BadParams("element count must be non-negative")
     check_poset_size(n, f"a poset on {n} elements")
+    if labels is not None:
+        labels = tuple(labels)
+        if len(labels) != n:
+            raise BadParams("label count differs from element count")
     succ = [0] * n
     for a, b in covers:
         if not (0 <= a < n and 0 <= b < n):
@@ -203,40 +202,50 @@ def make_poset(n: int, covers, labels=None) -> Poset:
         for y in _bits(succ[x]):
             row |= up[y]
         up[x] = row
-    return Poset(up, labels=labels)
+    down = [0] * n
+    for x in topo:
+        row = down[x] | 1 << x
+        for y in _bits(succ[x]):
+            down[y] |= row
+    return Poset._with_rows(tuple(up), tuple(down), labels=labels)
 
 
 def dual(p: Poset) -> Poset:
-    return Poset(p._down, labels=p.labels, validate=False)
+    return Poset._with_rows(p._down, p._up, labels=p.labels)
 
 
 def disjoint_sum(p: Poset, q: Poset) -> Poset:
-    rows = list(p._up) + [row << p.n for row in q._up]
+    up = p._up + tuple(row << p.n for row in q._up)
+    down = p._down + tuple(row << p.n for row in q._down)
     labels = None
     if p.labels is not None or q.labels is not None:
         pl = p.labels or (None,) * p.n
         ql = q.labels or (None,) * q.n
         labels = pl + ql
-    return Poset(rows, labels=labels, validate=False)
+    return Poset._with_rows(up, down, labels=labels)
 
 
 def linear_sum(p: Poset, q: Poset) -> Poset:
     """Every element of p strictly below every element of q."""
+    below = (1 << p.n) - 1
     above = ((1 << q.n) - 1) << p.n
-    rows = [row | above for row in p._up] + [row << p.n for row in q._up]
-    return Poset(rows, validate=False)
+    up = tuple(row | above for row in p._up) + tuple(row << p.n for row in q._up)
+    down = p._down + tuple(row << p.n | below for row in q._down)
+    return Poset._with_rows(up, down)
 
 
 def adjoin_extremum(p: Poset, side: str) -> Poset:
     """Add one new element above (side='top') or below (side='bottom') all others."""
+    every = (1 << p.n) - 1
     if side == "top":
-        rows = [row | (1 << p.n) for row in p._up] + [0]
+        up = tuple(row | (1 << p.n) for row in p._up) + (0,)
+        down = p._down + (every,)
     elif side == "bottom":
-        rows = [row << 1 for row in p._up]
-        rows.insert(0, ((1 << p.n) - 1) << 1)
+        up = (every << 1,) + tuple(row << 1 for row in p._up)
+        down = (0,) + tuple(row << 1 | 1 for row in p._down)
     else:
         raise BadParams("side must be 'top' or 'bottom'")
-    return Poset(rows, validate=False)
+    return Poset._with_rows(up, down)
 
 
 # --- structure -------------------------------------------------------------
@@ -389,7 +398,9 @@ def _reversed(v: int, width: int) -> int:
 
 def _relabeled(p: Poset, perm) -> tuple:
     """The up and down rows of p with element perm[i] moved to position i,
-    each row relabeled through one list of position bits."""
+    each row relabeled through one list of position bits. Elements that
+    perm leaves out get no bit, so a shorter perm gives the rows of the
+    induced subposet on its elements."""
     at = [0] * p.n
     for i, elem in enumerate(perm):
         at[elem] = 1 << i

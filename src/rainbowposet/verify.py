@@ -30,6 +30,7 @@ from . import (
     greedy_pattern_free_family,
     harp,
     is_minimal_forcing,
+    is_tree_poset,
     iter_antichain_families,
     jay,
     la_rainbow_star,
@@ -266,8 +267,6 @@ def check_linear_sum_minimality(quick: bool = False) -> tuple[bool, str]:
 
 
 def _tree_posets_on(count: int):
-    from .poset import is_tree_poset
-
     return [p for p in posets_of_size(count) if is_tree_poset(p)]
 
 

@@ -2,6 +2,8 @@
 brute-force oracles on small instances."""
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from rainbowposet import (
     BadParams,
     CyclicInput,
     Poset,
+    SetFamily,
     adjoin_extremum,
     antichain,
     are_isomorphic,
@@ -20,8 +23,10 @@ from rainbowposet import (
     diamond,
     disjoint_sum,
     dual,
+    family_poset,
     height,
     is_tree_poset,
+    iter_antichain_families,
     linear_sum,
     make_poset,
     organ,
@@ -237,3 +242,89 @@ def test_constructor_invariants_random(p):
             for z in range(p.n):
                 if p.less(x, y) and p.less(y, z):
                     assert p.less(x, z)
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([1], "not irreflexive at 0"),
+            ([2, 1], "not antisymmetric at 0"),
+            ([2], "row 0 references elements >= n"),
+            ([0, 1 << 5], "row 1 references elements >= n"),
+            ([2, 4, 0], "not transitive at 0 < 1"),
+        ],
+    )
+    def test_rows_that_are_no_order_are_rejected(self, rows, message):
+        with pytest.raises(BadParams, match=message):
+            Poset(rows)
+
+    def test_wrong_label_count_is_rejected(self):
+        with pytest.raises(BadParams, match="label count"):
+            Poset([2, 0], labels=["a"])
+        with pytest.raises(BadParams, match="label count"):
+            make_poset(2, [(0, 1)], labels=["a", "b", "c"])
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every poset that `Poset._with_rows` hands out while the test runs:
+    the builders that take their rows unchecked."""
+    out = []
+    with_rows = Poset._with_rows
+
+    def recorded(up, down, rank=None, twins=None, labels=None):
+        p = with_rows(up, down, rank, twins, labels)
+        out.append(p)
+        return p
+
+    monkeypatch.setattr(Poset, "_with_rows", staticmethod(recorded))
+    return out
+
+
+def _random_poset(rng, n):
+    """make_poset on random arcs, laid along a random linear extension so
+    that the topological order is not the index order."""
+    order = rng.sample(range(n), n)
+    covers = [(order[a], order[b]) for b in range(n) for a in range(b) if rng.random() < 0.3]
+    labels = [f"e{x}" for x in range(n)] if rng.random() < 0.5 else None
+    return make_poset(n, covers, labels=labels)
+
+
+def test_every_unchecked_builder_hands_over_a_valid_order(built):
+    # the rows each builder derives are those the checking constructor
+    # computes and accepts, as tuples
+    rng = random.Random(20261020)
+    chain(300)
+    for _ in range(60):
+        p = _random_poset(rng, rng.randrange(0, 10))
+        q = _random_poset(rng, rng.randrange(0, 10))
+        p.restrict(rng.sample(range(p.n), rng.randrange(0, p.n + 1)))
+        for x in range(p.n):
+            p.delete(x)
+        dual(p)
+        disjoint_sum(p, q)
+        linear_sum(p, q)
+        adjoin_extremum(p, "top")
+        adjoin_extremum(p, "bottom")
+        n = rng.randrange(0, 5)
+        family_poset(SetFamily.from_masks(n, rng.sample(range(1 << n), rng.randrange(0, 1 << n))))
+    iter_antichain_families(3)
+    iter_antichain_families(4)
+    assert len(built) >= 60 * 9 + 3
+    for q in built:
+        assert type(q._up) is tuple and type(q._down) is tuple
+        assert q.labels is None or type(q.labels) is tuple
+        fresh = Poset(q._up, labels=q.labels)
+        assert q._down == fresh._down and q.labels == fresh.labels
+
+
+def test_deep_hosts_build_from_their_covers_quickly():
+    start = time.perf_counter()
+    deep = chain(4096)
+    assert time.perf_counter() - start < 2
+    text = poset_to_text(deep)
+    start = time.perf_counter()
+    read = poset_from_text(text)
+    assert time.perf_counter() - start < 2
+    assert read._up == deep._up and read._down == deep._down

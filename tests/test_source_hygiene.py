@@ -1,8 +1,9 @@
 """Source hygiene of the package, read with the standard `ast` module: no
 import goes unused, no module-level private name goes unreferenced, and no
-top-level function or class name is defined in two modules. A deletion
-that leaves an orphan behind, or a per-module copy of a helper, fails
-here."""
+top-level function or class name is defined in two modules, and no
+function imports a sibling module. A deletion that leaves an orphan
+behind, a per-module copy of a helper, or an import hidden in a function
+body fails here."""
 
 import ast
 import pathlib
@@ -76,3 +77,14 @@ def test_no_top_level_name_is_defined_in_two_modules():
                 homes.setdefault(node.name, []).append(module)
     copies = {name: modules for name, modules in homes.items() if len(modules) > 1}
     assert not copies, f"defined in more than one module: {copies}"
+
+
+def test_no_function_body_imports_a_sibling_module():
+    local = set()
+    for module, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.ImportFrom) and node.level:
+                        local.add(f"{module}.{func.name}")
+    assert not local, f"relative imports inside function bodies: {sorted(local)}"
