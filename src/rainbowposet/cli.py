@@ -67,14 +67,21 @@ BUILDERS = {
 }
 
 
-def _read_poset(path):
-    with open(path, encoding="utf-8") as fh:
-        return poset_from_text(fh.read())
+def _read(path, parse=poset_from_text):
+    """parse(the file's text); a file that is not UTF-8 raises BadParams."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadParams(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    return parse(text)
 
 
-def _read_family(path):
-    with open(path, encoding="utf-8") as fh:
-        return family_from_text(fh.read())
+def _int_param(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise BadParams(f"construct parameter {text!r} is not an integer") from None
 
 
 def _run_json(args):
@@ -100,16 +107,16 @@ def _fraction_str(x: Fraction) -> str:
 def cmd_construct(args):
     name, params = args.name, args.params
     if name == "multilevel":
-        poset = constructions.complete_multilevel([int(p) for p in params])
+        poset = constructions.complete_multilevel([_int_param(p) for p in params])
     elif name not in BUILDERS:
         raise BadParams(f"unknown construction {name!r}")
     elif len(params) != BUILDERS[name][1]:
         raise BadParams(f"{name} takes {BUILDERS[name][1]} parameter(s)")
     elif name == "blowup":
-        pi = [int(x) for x in params[1].split(",")]
-        poset = constructions.blowup(_read_poset(params[0]), pi)
+        pi = [_int_param(x) for x in params[1].split(",")]
+        poset = constructions.blowup(_read(params[0]), pi)
     else:
-        poset = BUILDERS[name][0](*[int(p) for p in params])
+        poset = BUILDERS[name][0](*[_int_param(p) for p in params])
     text = poset_to_text(poset)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -125,8 +132,8 @@ def cmd_gen(args):
 
 
 def cmd_forces(args):
-    host = _read_poset(args.host)
-    pattern = _read_poset(args.pattern)
+    host = _read(args.host)
+    pattern = _read(args.pattern)
     verdict = rainbow_forces(host, pattern, budget_s=args.budget)
     payload = {"forces": verdict.forces}
     if verdict.refutation is not None:
@@ -135,13 +142,13 @@ def cmd_forces(args):
 
 
 def cmd_minimal(args):
-    host = _read_poset(args.host)
-    pattern = _read_poset(args.pattern)
+    host = _read(args.host)
+    pattern = _read(args.pattern)
     return {"minimal": is_minimal_forcing(host, pattern, budget_s=args.budget)}
 
 
 def cmd_search_m(args):
-    pattern = _read_poset(args.pattern)
+    pattern = _read(args.pattern)
     found = search_M(pattern, args.max_size)
     return {
         "count": len(found),
@@ -158,7 +165,7 @@ def cmd_search_m(args):
 
 
 def cmd_m_value(args):
-    pattern = _read_poset(args.pattern)
+    pattern = _read(args.pattern)
     mv = m_value(pattern, cap=args.cap)
     payload = {"lower": mv.lower, "upper": mv.upper, "exact": mv.exact}
     if mv.value is not None:
@@ -167,7 +174,7 @@ def cmd_m_value(args):
 
 
 def cmd_embed(args):
-    tree = _read_poset(args.tree)
+    tree = _read(args.tree)
     k = tree.n if args.k is None else args.k
     if args.exhaustive and k > 2:  # universal_tree(3) alone has 1,291 elements
         raise BadParams(f"--exhaustive is limited to k <= 2, got k={k}")
@@ -190,7 +197,7 @@ def cmd_embed(args):
 
 
 def cmd_lubell(args):
-    fam = _read_family(args.family)
+    fam = _read(args.family, family_from_text)
     return {"value": _fraction_str(lubell_mass(fam))}
 
 
@@ -202,7 +209,7 @@ def cmd_la_star(args):
     if args.node_budget is not None and not args.bracket:
         raise BadParams("--node-budget needs --bracket")
     budget = BRACKET_NODE_BUDGET if args.node_budget is None else args.node_budget
-    patterns = [_read_poset(p) for p in args.patterns]
+    patterns = [_read(p) for p in args.patterns]
     res = la_star(args.n, patterns, node_budget=budget if args.bracket else None)
     if args.bracket:
         return {"lower": res.value, "upper": res.upper, "exact": res.value == res.upper}
@@ -210,7 +217,7 @@ def cmd_la_star(args):
 
 
 def cmd_lar_star(args):
-    pattern = _read_poset(args.pattern)
+    pattern = _read(args.pattern)
     res = la_rainbow_star(args.n, pattern)
     return {
         "value": res.value,
@@ -220,7 +227,7 @@ def cmd_lar_star(args):
 
 
 def cmd_minmax(args):
-    fam = _read_family(args.family)
+    fam = _read(args.family, family_from_text)
     rep = minmax_partition(fam)
     return {
         "mass": _fraction_str(rep.mass),
@@ -343,7 +350,7 @@ def main(argv=None) -> int:
     except ForcingTimeout as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RainbowPosetError, OSError, ValueError) as exc:
+    except (RainbowPosetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug; exit 1 stays reserved for a failed property

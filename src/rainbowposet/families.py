@@ -63,12 +63,15 @@ class SetFamily:
 
 
 def family_poset(f: SetFamily) -> Poset:
-    """Containment order on the family's sets (bridge to the forcing module)."""
-    up = [0] * len(f.sets)
-    down = [0] * len(f.sets)
-    for i, a in enumerate(f.sets):
-        for j, b in enumerate(f.sets):
-            if a != b and a & b == a:
+    """Containment order on the family's sets (bridge to the forcing module).
+    The sets ascend by mask and a proper superset has the larger mask, so
+    each set is compared only with the sets after it."""
+    sets = f.sets
+    up = [0] * len(sets)
+    down = [0] * len(sets)
+    for i, a in enumerate(sets):
+        for j in range(i + 1, len(sets)):
+            if a & sets[j] == a:
                 up[i] |= 1 << j
                 down[j] |= 1 << i
     return Poset._with_rows(tuple(up), tuple(down))
@@ -176,15 +179,8 @@ def _cube_rows(n):
     the strict supersets of a and down[a] its strict subsets. The family
     searches pass a family to the copy kernel as an `active` mask over these
     rows."""
-    total = 1 << n
-    up = [0] * total
-    down = [0] * total
-    for a in range(total):
-        for b in range(a + 1, total):
-            if a & b == a:
-                up[a] |= 1 << b
-                down[b] |= 1 << a
-    return tuple(up), tuple(down)
+    cube = family_poset(SetFamily(n, tuple(range(1 << n))))
+    return cube._up, cube._down
 
 
 def _branch_and_bound(candidates, weights, start, admits, node_budget=None):

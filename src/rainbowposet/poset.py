@@ -6,7 +6,9 @@ All values are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import BadParams, CapExceeded, CyclicInput
 
@@ -112,13 +114,25 @@ class Poset:
         return self.n == other.n and self._up == other._up
 
     def cover_pairs(self):
-        """Hasse arcs (x, y), x covered by y, sorted."""
+        """Hasse arcs (x, y), x covered by y, sorted. The covers of x are the
+        minimal elements of its up row: the row's members at the least rank
+        left, found by bisection, are covers and drop out with all above
+        them, so the work follows the covers, not the relations."""
+        rank = rank_partition(self)
+        upto = [0] * (max(rank, default=0) + 1)  # upto[r]: the elements of rank <= r
+        for x, r in enumerate(rank):
+            upto[r] |= 1 << x
+        upto = list(accumulate(upto, int.__or__))
         out = []
-        for x in range(self.n):
-            ux = self._up[x]
-            for y in _bits(ux):
-                if not ux & self._down[y]:
+        for x, rest in enumerate(self._up):
+            r = rank[x]
+            while rest:
+                r = bisect_left(upto, True, r + 1, key=lambda below: bool(rest & below))
+                covers = rest & upto[r]
+                for y in _bits(covers):
                     out.append((x, y))
+                    rest &= ~self._up[y]
+                rest &= ~covers
         return tuple(sorted(out))
 
     def maximal_elements(self):
@@ -130,6 +144,8 @@ class Poset:
     def restrict(self, elements) -> "Poset":
         """Induced subposet on the given elements (kept in sorted order)."""
         elems = sorted(elements)
+        if elems and not 0 <= elems[0] <= elems[-1] < self.n:
+            raise BadParams(f"restriction elements must lie in 0..{self.n - 1}")
         if len(set(elems)) != len(elems):
             raise BadParams("duplicate elements in restriction")
         labels = None
@@ -568,7 +584,15 @@ def _read_header(line: str, kind: str, previous) -> int:
         raise BadParams(f"{kind} header is missing n=<count>")
     if not fields["n"].isdecimal():
         raise BadParams(f"{kind} header n={fields['n']} is not a count")
-    return int(fields["n"])
+    return _count(fields["n"], f"{kind} header n=")
+
+
+def _count(digits: str, what: str) -> int:
+    """int(digits); more digits than int() converts raise BadParams."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise BadParams(f"{what} has {len(digits)} digits, too many for a count") from None
 
 
 def poset_from_text(text: str) -> Poset:
@@ -581,8 +605,8 @@ def poset_from_text(text: str) -> Poset:
             continue
         if line.startswith("#"):
             parts = line[1:].split(None, 2)
-            if len(parts) == 3 and parts[0] == "label" and parts[1].isdigit():
-                labels[int(parts[1])] = parts[2]
+            if len(parts) == 3 and parts[0] == "label" and parts[1].isdecimal():
+                labels[_count(parts[1], f"poset text line {number}: label index")] = parts[2]
             continue
         if line.split()[0] == "poset":
             n = _read_header(line, "poset", n)

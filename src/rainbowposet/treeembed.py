@@ -139,11 +139,6 @@ def verify_certificate(host, colors, pattern: Poset, cert: EmbeddingCertificate)
 # --- hosts ---------------------------------------------------------------------
 
 
-def _blocked_below(host, v: int, avoid) -> int:
-    """Number of colors in `avoid` that occur at v or below it."""
-    return sum(1 for c in avoid if host.has_color_below(v, c))
-
-
 class CompleteDowntreeHost:
     """Complete k-ary downtree with colored nodes, in breadth-first layout:
     node 0 is the unique maximum, the children of v are k*v+1 .. k*v+k, and
@@ -153,16 +148,15 @@ class CompleteDowntreeHost:
     region in this layout, so they are read in place.
 
     This is the tree-host contract the embedders read:
-      k, h                   arity and height (vertices on a root-leaf path);
-      rank(v)                h minus the depth of v, so the root has rank h;
-      children(v)            the nodes v covers, in a fixed order;
-      color(v)               the color of v;
-      has_color_below(v, c)  whether color c occurs at v or in its subtree;
-      max_rank_usable(avoid) a highest-ranked node whose color is not in
-                             avoid, or None;
-      less(a, b)             a strictly below b in the tree order.
-    A subtree covers one contiguous run of nodes on each level, so color
-    presence below a node is one scan of a slice per level."""
+      k, h                    arity and height (vertices on a root-leaf path);
+      colors                  colors[v] is the color of node v;
+      rank(v)                 h minus the depth of v, so the root has rank h;
+      children(v)             the nodes v covers, in a fixed order;
+      blocked_below(v, avoid) how many colors of avoid occur at v or in its
+                              subtree;
+      max_rank_usable(avoid)  a highest-ranked node whose color is not in
+                              avoid, or None;
+      less(a, b)              a strictly below b in the tree order."""
 
     def __init__(self, k: int, colors):
         if k < 1:
@@ -178,20 +172,14 @@ class CompleteDowntreeHost:
         self.offsets = offsets
         self.colors = colors
 
-    def depth(self, v: int) -> int:
-        return bisect.bisect_right(self.offsets, v) - 1
-
     def rank(self, v: int) -> int:
-        return self.h - self.depth(v)
+        return self.h + 1 - bisect.bisect_right(self.offsets, v)
 
     def children(self, v: int):
         first = self.k * v + 1
         if first >= self.size:
             return ()
         return tuple(range(first, first + self.k))
-
-    def color(self, v: int):
-        return self.colors[v]
 
     def less(self, a: int, b: int) -> bool:
         """a strictly below b in the downtree order: b is a tree ancestor."""
@@ -201,8 +189,26 @@ class CompleteDowntreeHost:
                 return True
         return False
 
-    def has_color_below(self, v: int, color) -> bool:
-        return _color_in_subtree(self.colors, self.k, v, color)
+    def blocked_below(self, v: int, avoid) -> int:
+        """How many colors of avoid occur at v or in its subtree. The host
+        stores nothing per node but its colors, so this scans them: v's
+        subtree covers one run lo..hi of nodes on each level. The root's
+        subtree is the whole list, so each color there is one `c in colors`,
+        with no slice copied. Below the root each level's run is copied once
+        and tested for every color not found yet, until all are found or the
+        levels run out."""
+        colors = self.colors
+        if v == 0:
+            return sum(1 for c in avoid if c in colors)
+        missing = set(avoid)
+        total = len(missing)
+        lo = hi = v
+        while missing and lo < self.size:
+            run = colors[lo : hi + 1]
+            missing = {c for c in missing if c not in run}
+            lo = self.k * lo + 1
+            hi = self.k * hi + self.k
+        return total - len(missing)
 
     def max_rank_usable(self, avoid) -> Optional[int]:
         """The first node in breadth-first order whose color is usable."""
@@ -210,24 +216,6 @@ class CompleteDowntreeHost:
             if c not in avoid:
                 return v
         return None
-
-
-def _color_in_subtree(colors, k: int, v: int, c) -> bool:
-    """Whether c occurs at v or below it in the breadth-first k-ary downtree
-    `colors`. The host stores nothing per node but this list, so the test
-    scans it: the run lo..hi that v's subtree covers on each level, one
-    slice per level. The root's subtree is the whole list, so the root is
-    answered by `c in colors`, with no slice copied."""
-    if v == 0:
-        return c in colors
-    lo = hi = v
-    size = len(colors)
-    while lo < size:
-        if c in colors[lo : hi + 1]:
-            return True
-        lo = k * lo + 1
-        hi = k * hi + k
-    return False
 
 
 def _shuffled_range(size: int, rng) -> array:
@@ -378,10 +366,10 @@ def _embed_block(root, children_of, sizes, host, avoid):
     x = host.max_rank_usable(avoid)
     if x is None:
         raise PreconditionViolated("no usable color anywhere in the host")
-    if host.rank(x) < sizes[root] + _blocked_below(host, x, avoid):
+    if host.rank(x) < sizes[root] + host.blocked_below(x, avoid):
         raise PreconditionViolated("host cannot fit the pattern below its usable top")
     image[root] = x
-    avoid.add(host.color(x))
+    avoid.add(host.colors[x])
 
     def place_children(t, z):
         kids = children_of[t]
@@ -393,17 +381,17 @@ def _embed_block(root, children_of, sizes, host, avoid):
         for i, tc in enumerate(kids):
             v = entries[i]
             while True:
-                slack = host.rank(v) - sizes[tc] - _blocked_below(host, v, avoid)
+                slack = host.rank(v) - sizes[tc] - host.blocked_below(v, avoid)
                 if slack < 0:
                     raise PreconditionViolated("embedding walk lost its slack invariant")
-                if slack == 0 and host.color(v) not in avoid:
+                if slack == 0 and host.colors[v] not in avoid:
                     break
                 nxt = host.children(v)
                 if not nxt:
                     raise PreconditionViolated("embedding walk ran out of height")
                 v = nxt[0]
             image[tc] = v
-            avoid.add(host.color(v))
+            avoid.add(host.colors[v])
             place_children(tc, v)
 
     place_children(root, x)
@@ -420,11 +408,11 @@ def check_block_properties(host, root, sizes, unusable, image):
     best = host.max_rank_usable(set(unusable))
     if host.rank(image[root]) != host.rank(best):
         raise AssertionError("root image is not at the highest usable rank")
-    relevant = set(unusable) | {host.color(v) for v in image.values()}
+    relevant = set(unusable) | {host.colors[v] for v in image.values()}
     for t, v in image.items():
-        if host.color(v) in unusable:
+        if host.colors[v] in unusable:
             raise AssertionError("certificate uses an unusable color")
-        if t != root and host.rank(v) > sizes[t] + _blocked_below(host, v, relevant):
+        if t != root and host.rank(v) > sizes[t] + host.blocked_below(v, relevant):
             raise AssertionError("rank bound violated at a non-root image")
 
 
@@ -435,7 +423,7 @@ def embed_downtree_on_host(t: Poset, unusable, host) -> EmbeddingCertificate:
     arity-k host of height k with k >= |t| + |unusable|, implies it. The
     certificate is verified with the host's own order."""
     unusable = set(unusable)
-    blocked = _blocked_below(host, 0, unusable)
+    blocked = host.blocked_below(0, unusable)
     if host.h < t.n + blocked:
         raise PreconditionViolated(
             f"need h >= |t| + blocked colors = {t.n + blocked}, host has h={host.h}"
@@ -467,7 +455,7 @@ def embed_universal(
     """Rainbow copy of the tree poset t (|t| <= k) in the universal tree of
     order k under any proper coloring.
 
-    Blocks of t are embedded in distance order: the base's down-set into
+    Blocks of t are embedded in (distance, index) order: the base's block into
     the core downtree, every other block into the appended region at its
     owner's image, blocking exactly the colors of earlier images that
     comparability leaves unconstrained. Any slack violation surfaces as
@@ -475,57 +463,41 @@ def embed_universal(
     meta = check_tree_pattern(t, ut.k)
     if not is_proper(ut.poset, coloring):
         raise PreconditionViolated("host coloring must be proper")
-    host = ut.poset
+    host, colors = ut.poset, coloring.colors
     mapping = {}
 
     def embed_region(block, region, upside_down, avoid):
         # universal_tree lists a region breadth-first, children in creation
         # order, so region[v] is node v of a complete k-ary downtree; an
         # uptree block reads as its dual, with the same element indices
-        view = CompleteDowntreeHost(ut.k, [coloring.colors[e] for e in region])
+        view = CompleteDowntreeHost(ut.k, [colors[e] for e in region])
         blk = t.restrict(block)
         cert = embed_downtree_on_host(dual(blk) if upside_down else blk, avoid, view)
         return {block[bi]: region[v] for bi, v in enumerate(cert.mapping)}
 
-    got = embed_region(meta.blocks[meta.base], ut.core, False, set())
-    if got[meta.base] != ut.center:
-        raise AssertionError("base did not land on the universal tree center")
-    mapping.update(got)
-
     for z in sorted(range(t.n), key=lambda z: (meta.dist[z], z)):
-        if z == meta.base:
-            continue
         block = meta.blocks[z]
-        if len(block) == 1:
-            continue
-        x_z = mapping[z]
-        region = ut.regions.get(x_z)
-        if region is None:
-            raise PreconditionViolated(
-                f"no appended region at host element {x_z} for block owner {z}"
-            )
+        if len(block) == 1 and z in mapping:
+            continue  # z was placed with its originator's block
+        region = ut.core if z == meta.base else ut.regions[mapping[z]]
+        x_z = region[0]
         upside_down = meta.side[z] == "down"
-
-        def separated(img):
-            if upside_down:
-                return host.less(img, x_z) or img == x_z
-            return host.less(x_z, img) or img == x_z
-
+        # an image past x_z, away from the region, is comparable to all of it
         avoid = {
-            coloring.colors[img] for img in mapping.values() if not separated(img)
+            colors[img]
+            for img in mapping.values()
+            if img != x_z and not (host.less(img, x_z) if upside_down else host.less(x_z, img))
         }
         got = embed_region(block, region, upside_down, avoid)
-        if got[z] != mapping[z]:
-            raise AssertionError("region embedding moved the block owner")
-        for el, img in got.items():
-            if el != z:
-                mapping[el] = img
+        if got[z] != x_z:
+            raise AssertionError(f"block owner {z} did not land on its region's first element")
+        mapping.update(got)
 
     mapping_t = tuple(mapping[i] for i in range(t.n))
     cert = EmbeddingCertificate(
-        mapping=mapping_t, colors=tuple(coloring.colors[v] for v in mapping_t)
+        mapping=mapping_t, colors=tuple(colors[v] for v in mapping_t)
     )
-    if not verify_certificate(host, coloring.colors, t, cert):
+    if not verify_certificate(host, colors, t, cert):
         raise AssertionError("universal embedding produced an invalid certificate")
     return cert
 

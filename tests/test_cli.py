@@ -95,6 +95,45 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert captured.err == "error: internal: KeyError: 'no such entry'\n"
 
 
+def test_a_value_error_from_a_bug_is_an_internal_error(monkeypatch, capsys):
+    import rainbowposet.cli as cli
+
+    def broken(args):
+        raise ValueError("no such value")
+
+    monkeypatch.setattr(cli, "cmd_sigma", broken)
+    assert main(["sigma", "4", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: ValueError: no such value\n"
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["construct", "chain", "abc"], None, "construct parameter 'abc' is not an integer"),
+        (["construct", "blowup", "{f}", "0,x"], "poset n=2\n", "construct parameter 'x' is not"),
+        (["forces", "{f}", "{f}"], b"\xff\xfe", "input.txt: not UTF-8 text (byte 0"),
+        (["lubell", "{f}"], b"poset\n\xff", "input.txt: not UTF-8 text (byte 6"),
+        (["forces", "{f}", "{f}"], "poset n=" + "9" * 5000, "poset header n= has 5000 digits"),
+        (["lubell", "{f}"], "family n=" + "9" * 5000, "family header n= has 5000 digits"),
+        (["forces", "{f}", "{f}"], "poset n=1\n# label " + "9" * 5000 + " a", "line 2: label"),
+    ],
+    ids=["construct", "blowup", "not-utf8", "not-utf8-family", "poset-n", "family-n", "label"],
+)
+def test_a_value_error_of_user_input_is_a_usage_error(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "input.txt"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    code = main([a.format(f=path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
 def test_gen_manifest(tmp_path, capsys):
     code, out = run_cli(capsys, "gen", "--max-size", "4", "--out", str(tmp_path / "cat"))
     assert code == 0

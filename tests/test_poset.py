@@ -219,6 +219,11 @@ class TestTextFormat:
         assert p.labels[0] == "bottom"
         assert poset_from_text(poset_to_text(p)).labels == p.labels
 
+    def test_a_label_index_that_is_not_decimal_is_a_comment(self):
+        # "²" is a digit but not decimal: int() rejects it
+        p = poset_from_text("poset n=1\n# label \u00b2 top\n# label x top\n")
+        assert p.labels is None
+
     def test_missing_header(self):
         with pytest.raises(BadParams):
             poset_from_text("0 < 1\n")
@@ -328,3 +333,38 @@ def test_deep_hosts_build_from_their_covers_quickly():
     read = poset_from_text(text)
     assert time.perf_counter() - start < 2
     assert read._up == deep._up and read._down == deep._down
+
+
+def test_deep_hosts_write_their_covers_quickly():
+    # the dual chain has descending labels, so a peel that walked down the
+    # whole chain once per element would take quadratic time here
+    for deep in (chain(4096), dual(chain(4096))):
+        start = time.perf_counter()
+        text = poset_to_text(deep)
+        assert time.perf_counter() - start < 2
+        assert text.count("<") == 4095
+
+
+def _pair_test_covers(p):
+    """The definition: x < y with no z strictly between them."""
+    return tuple(
+        (x, y)
+        for x in range(p.n)
+        for y in range(p.n)
+        if p.less(x, y) and not any(p.less(x, z) and p.less(z, y) for z in range(p.n))
+    )
+
+
+def test_cover_pairs_match_the_definition():
+    posets = [p for n in range(1, 7) for p in posets_of_size(n)]
+    rng = random.Random(20261021)
+    posets += [_random_poset(rng, rng.randrange(0, 13)) for _ in range(300)]
+    posets += [antichain(5), dual(chain(7)), Poset([])]
+    for p in posets:
+        assert p.cover_pairs() == _pair_test_covers(p), p._up
+
+
+@pytest.mark.parametrize("elements", [[0, 5], [-1, 0], [3], [0, 1, 2, 3]])
+def test_restrict_rejects_elements_outside_the_poset(elements):
+    with pytest.raises(BadParams, match=r"lie in 0\.\.2"):
+        chain(3).restrict(elements)

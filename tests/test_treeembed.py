@@ -338,6 +338,25 @@ class TestArithmeticHost:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
 
+    def test_blocked_below_counts_the_colors_of_each_subtree(self):
+        # every node of small hosts against a walk of its subtree through
+        # children; avoid sets hold colors absent from the host too
+        rng = random.Random("blocked-below")
+        for k in range(1, 4):
+            for h in range(1, 5):
+                host = CompleteDowntreeHost(k, random_downtree_coloring(k, h, rng))
+                palette = max(host.colors) + 1
+                avoids = [set(), set(range(palette + 3)), {palette, palette + 5}]
+                avoids += [set(rng.sample(range(palette + 3), rng.randint(1, 4))) for _ in range(4)]
+                for v in range(host.size):
+                    below, stack = set(), [v]
+                    while stack:
+                        w = stack.pop()
+                        below.add(host.colors[w])
+                        stack.extend(host.children(w))
+                    for avoid in avoids:
+                        assert host.blocked_below(v, avoid) == len(avoid & below), (k, h, v)
+
     def test_coloring_rejects_empty_shapes(self):
         for k, h in ((0, 3), (3, 0)):
             with pytest.raises(BadParams):
