@@ -13,6 +13,10 @@ from .poset import Poset, _bits, _previous_twins, canonical_form, canonical_key,
 
 DEFAULT_CAP = 7
 
+# Largest size the catalog enumerates, whatever the cap: its 183,231
+# classes take about 127 MB, and the next size does not fit in memory.
+CATALOG_CEILING = 9
+
 
 def order_ideals(p: Poset):
     """All down-closed element subsets of p, as ascending bitmasks (including 0).
@@ -38,9 +42,12 @@ def order_ideals(p: Poset):
 def posets_of_size(n: int, cap: int = DEFAULT_CAP):
     """One canonical representative per isomorphism class, sorted by key.
     Each representative carries its canonical key. The classes are cached
-    by n alone, so every cap shares one tuple per size."""
+    by n alone, so every cap shares one tuple per size. No cap reaches
+    past CATALOG_CEILING."""
     if n > cap:
         raise CapExceeded(f"enumeration requested for n={n} above cap {cap}")
+    if n > CATALOG_CEILING:
+        raise CapExceeded(f"enumeration requested for n={n} above the ceiling {CATALOG_CEILING}")
     return _posets_of_size(n)
 
 
@@ -145,6 +152,8 @@ def _posets_of_size(n: int):
 def _check_max_n(max_n: int) -> None:
     if max_n < 0:
         raise BadParams(f"catalog size max_n={max_n} is negative")
+    if max_n > CATALOG_CEILING:
+        raise CapExceeded(f"catalog size max_n={max_n} is above the ceiling {CATALOG_CEILING}")
 
 
 def catalog_upto(max_n: int, cap: int = DEFAULT_CAP):
@@ -153,35 +162,10 @@ def catalog_upto(max_n: int, cap: int = DEFAULT_CAP):
     return {n: posets_of_size(n, cap) for n in range(1, max_n + 1)}
 
 
-def posets_by_triangular_filter(n: int):
-    """Independent enumeration for cross-checks (n <= 5).
-
-    Every poset, relabeled along a linear extension, is a transitively
-    closed relation inside the strict upper triangle; filtering those
-    candidates and deduplicating by canonical key reaches every class.
-    """
-    if n > 5:
-        raise CapExceeded("triangular filter enumeration is for n <= 5")
-    pairs = list(combinations(range(n), 2))
-    keys = set()
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        for i, (a, b) in enumerate(pairs):
-            if mask >> i & 1:
-                rows[a] |= 1 << b
-        try:
-            p = Poset(rows)
-        except BadParams:  # not transitive
-            continue
-        keys.add(canonical_key(p))
-    return sorted(keys)
-
-
-def posets_by_relation_filter(n: int):
-    """Third cross-check for tiny n: filter all labeled off-diagonal relations."""
-    if n > 4:
-        raise CapExceeded("full relation filter enumeration is for n <= 4")
-    cells = [(a, b) for a in range(n) for b in range(n) if a != b]
+def _filtered_keys(n: int, cells):
+    """The sorted canonical keys of the strict orders on n elements whose
+    relation pairs (a, b), a below b, all lie in cells: every subset of
+    cells is tried, and those that are not strict orders are dropped."""
     keys = set()
     for mask in range(1 << len(cells)):
         rows = [0] * n
@@ -194,6 +178,25 @@ def posets_by_relation_filter(n: int):
             continue
         keys.add(canonical_key(p))
     return sorted(keys)
+
+
+def posets_by_triangular_filter(n: int):
+    """Independent enumeration for cross-checks (n <= 5).
+
+    Every poset, relabeled along a linear extension, is a transitively
+    closed relation inside the strict upper triangle; filtering those
+    candidates and deduplicating by canonical key reaches every class.
+    """
+    if n > 5:
+        raise CapExceeded("triangular filter enumeration is for n <= 5")
+    return _filtered_keys(n, list(combinations(range(n), 2)))
+
+
+def posets_by_relation_filter(n: int):
+    """Third cross-check for tiny n: filter all labeled off-diagonal relations."""
+    if n > 4:
+        raise CapExceeded("full relation filter enumeration is for n <= 4")
+    return _filtered_keys(n, [(a, b) for a in range(n) for b in range(n) if a != b])
 
 
 def dump_catalog(directory: str, max_n: int) -> dict:

@@ -18,7 +18,7 @@ from ._copies import exists_copy, plan_for
 from .catalog import order_ideals
 from .errors import BadParams, CapExceeded
 from .forcing import Coloring, _forces, has_rainbow_copy, is_proper, rainbow_forces
-from .poset import Poset, _bits, _read_header
+from .poset import Poset, _bits, _number, _read_header
 
 LA_STAR_CAP = 4
 MINMAX_CAP = 8
@@ -113,7 +113,6 @@ class MinMaxReport:
     n: int
     classes: dict  # (min_mask, max_mask) -> (chain count, total hits)
     leftover_count: int
-    leftover_hits: int
     mass: Fraction
     average: Fraction
 
@@ -128,7 +127,7 @@ def minmax_partition(f: SetFamily) -> MinMaxReport:
         raise CapExceeded(f"minmax partition enumerates n! chains; n <= {MINMAX_CAP}")
     in_family = set(f.sets)
     classes = {}
-    leftover = [0, 0]
+    leftover_count = 0
     total_hits = 0
     for perm in permutations(range(n)):
         mask = 0
@@ -146,13 +145,11 @@ def minmax_partition(f: SetFamily) -> MinMaxReport:
             cnt, tot = classes.get(key, (0, 0))
             classes[key] = (cnt + 1, tot + len(met))
         else:
-            leftover[0] += 1
-            leftover[1] += len(met)
+            leftover_count += 1
     return MinMaxReport(
         n=n,
         classes=classes,
-        leftover_count=leftover[0],
-        leftover_hits=leftover[1],
+        leftover_count=leftover_count,
         mass=lubell_mass(f),
         average=Fraction(total_hits, factorial(n)),
     )
@@ -392,12 +389,12 @@ def family_from_text(text: str) -> SetFamily:
         if line == "{}":
             masks.append(0)
             continue
-        try:
-            elements = [int(part) for part in line.split(",")]
-        except ValueError:
+        what = f"family text line {number}: element"
+        elements = [_number(part, what) for part in line.split(",")]
+        if None in elements:
             raise BadParams(
                 f"family text line {number}: {line!r} is not a set '1,2,...' or '{{}}'"
-            ) from None
+            )
         mask = 0
         for e in elements:
             if n is None or not 1 <= e <= n:

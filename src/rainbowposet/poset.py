@@ -315,23 +315,21 @@ def perp_value(p: Poset) -> int:
 
 
 def is_tree_poset(p: Poset) -> bool:
-    """True iff the unoriented cover graph is connected and acyclic."""
+    """True iff the unoriented cover graph is connected and acyclic: it has
+    n - 1 edges and is connected. Every comparable pair is joined by a
+    chain of covers, so the comparability graph, over the up | down rows,
+    has the cover graph's components."""
     n = p.n
     if n == 0:
         return False
-    covers = p.cover_pairs()
-    if len(covers) != n - 1:
+    if len(p.cover_pairs()) != n - 1:
         return False
-    adj = [0] * n
-    for a, b in covers:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
     seen = 1
     frontier = 1
     while frontier:
         new = 0
         for x in _bits(frontier):
-            new |= adj[x]
+            new |= p._up[x] | p._down[x]
         frontier = new & ~seen
         seen |= new
     return seen == (1 << n) - 1
@@ -570,7 +568,8 @@ def poset_to_text(p: Poset) -> str:
 def _read_header(line: str, kind: str, previous) -> int:
     """The count of a `<kind> n=<count>` header line. `previous` is the
     count of an earlier header of the input, or None; a second header, a
-    repeated field, or a missing or non-decimal n raises BadParams."""
+    repeated field, or a missing n or one that is not a number raises
+    BadParams."""
     if previous is not None:
         raise BadParams(f"more than one {kind} header in input")
     fields = {}
@@ -582,13 +581,21 @@ def _read_header(line: str, kind: str, previous) -> int:
             fields[key] = value
     if "n" not in fields:
         raise BadParams(f"{kind} header is missing n=<count>")
-    if not fields["n"].isdecimal():
+    n = _number(fields["n"], f"{kind} header n=")
+    if n is None:
         raise BadParams(f"{kind} header n={fields['n']} is not a count")
-    return _count(fields["n"], f"{kind} header n=")
+    return n
 
 
-def _count(digits: str, what: str) -> int:
-    """int(digits); more digits than int() converts raise BadParams."""
+def _number(field: str, what: str) -> int | None:
+    """The number that field spells in ASCII digits, blanks around them
+    allowed, or None when it holds anything else (a sign, an underscore,
+    a digit of another script). More digits than int() converts raise
+    BadParams naming `what`. Every number field of both text formats is
+    read here."""
+    digits = field.strip()
+    if not (digits.isascii() and digits.isdecimal()):
+        return None
     try:
         return int(digits)
     except ValueError:
@@ -605,18 +612,21 @@ def poset_from_text(text: str) -> Poset:
             continue
         if line.startswith("#"):
             parts = line[1:].split(None, 2)
-            if len(parts) == 3 and parts[0] == "label" and parts[1].isdecimal():
-                labels[_count(parts[1], f"poset text line {number}: label index")] = parts[2]
+            if len(parts) == 3 and parts[0] == "label":
+                index = _number(parts[1], f"poset text line {number}: label index")
+                if index is not None:
+                    labels[index] = parts[2]
             continue
         if line.split()[0] == "poset":
             n = _read_header(line, "poset", n)
             check_poset_size(n, f"poset header n={n}")
             continue
+        what = f"poset text line {number}: cover element"
         a, _, b = line.partition("<")
-        try:
-            covers.append((int(a), int(b)))
-        except ValueError:
-            raise BadParams(f"poset text line {number}: {line!r} is not a cover 'a < b'") from None
+        a, b = _number(a, what), _number(b, what)
+        if a is None or b is None:
+            raise BadParams(f"poset text line {number}: {line!r} is not a cover 'a < b'")
+        covers.append((a, b))
     if n is None:
         raise BadParams("missing poset header")
     label_tuple = None

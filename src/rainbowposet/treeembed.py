@@ -41,65 +41,49 @@ class TreeMeta:
 def classify_tree(t: Poset) -> TreeMeta:
     """Distances are over the comparability graph; odd distance from the
     base makes an element down, even makes it up. The originator of z is
-    the extreme-rank neighbor of z one step closer to the base, inside
-    z's down-set for up elements and up-set for down elements; on any
-    shortest comparability path directions alternate, so the candidate set
-    is never empty."""
+    its extreme-rank neighbor in the layer one step closer to the base:
+    the highest-ranked in z's down-set for an up element, the lowest-ranked
+    in its up-set for a down element, the lowest index among equals. One
+    breadth-first pass by layers of bit masks finds them, and each z joins
+    its originator's block as it is found.
+
+    The tree test settles what the pass does not check. Every element is
+    reached: a tree poset's cover graph is connected, and the comparability
+    graph contains it. Every z has a candidate: the base is maximal, so a
+    shortest comparability path from it steps down, up, down and so on,
+    and z's predecessor on it lies in the set searched. The blocks
+    partition the tree: each element but the base joins one block."""
     if not is_tree_poset(t):
         raise NotATreePoset("classification needs a tree poset")
     n = t.n
-    base = min(t.maximal_elements())
-    adj = [t.up_mask(x) | t.down_mask(x) for x in range(n)]
-    dist = [-1] * n
-    dist[base] = 0
-    frontier = [base]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for y in _bits(adj[x]):
-                if dist[y] < 0:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
-    if min(dist) < 0:
-        raise NotATreePoset("comparability graph is disconnected")
+    up, down = t._up, t._down
     rank = rank_partition(t)
-    side = tuple(
-        "base" if x == base else ("down" if dist[x] % 2 else "up")
-        for x in range(n)
-    )
+    base = min(t.maximal_elements())
+    dist = [0] * n
+    side = ["base"] * n
     orig = [None] * n
-    for z in range(n):
-        if z == base:
-            continue
-        if side[z] == "up":
-            cands = [w for w in range(n) if t.less(w, z) and dist[w] == dist[z] - 1]
-            cands.sort(key=lambda w: (-rank[w], w))
-        else:
-            cands = [w for w in range(n) if t.less(z, w) and dist[w] == dist[z] - 1]
-            cands.sort(key=lambda w: (rank[w], w))
-        if not cands:
-            raise NotATreePoset(f"element {z} has no originator candidate")
-        orig[z] = cands[0]
-    members = {}
-    for z in range(n):
-        if z != base:
-            members.setdefault(orig[z], []).append(z)
-    blocks = {
-        owner: tuple(sorted([owner] + members.get(owner, [])))
-        for owner in range(n)
-    }
-    seen = [0] * n
-    seen[base] += 1
-    for owner, blk in blocks.items():
-        for e in blk:
-            if e != owner:
-                seen[e] += 1
-    if any(c != 1 for c in seen):
-        raise AssertionError("originator blocks do not partition the tree")
-    return TreeMeta(base=base, dist=tuple(dist), side=side, orig=tuple(orig), blocks=blocks)
+    block = [1 << x for x in range(n)]  # block[x]: x and the elements it originates
+    layer = seen = 1 << base
+    d = 0
+    while layer:
+        d += 1
+        nxt = 0
+        for x in _bits(layer):
+            nxt |= up[x] | down[x]
+        nxt &= ~seen
+        seen |= nxt
+        for z in _bits(nxt):
+            dist[z] = d
+            if d % 2:
+                side[z] = "down"
+                orig[z] = min(_bits(layer & up[z]), key=lambda w: (rank[w], w))
+            else:
+                side[z] = "up"
+                orig[z] = min(_bits(layer & down[z]), key=lambda w: (-rank[w], w))
+            block[orig[z]] |= 1 << z
+        layer = nxt
+    blocks = {owner: _bits(members) for owner, members in enumerate(block)}
+    return TreeMeta(base=base, dist=tuple(dist), side=tuple(side), orig=tuple(orig), blocks=blocks)
 
 
 # --- certificates -------------------------------------------------------------
@@ -337,8 +321,9 @@ def random_downtree_coloring(k: int, h: int, rng):
 def _pattern_downtree(t: Poset):
     """(root, children lists, subtree sizes) of a pattern tree read as a
     downtree. The root is the unique maximum; children[x] lists the elements
-    x covers in index order, and every element but the root is covered by
-    exactly one element. Callers pass an uptree as its dual."""
+    x covers in index order. Every element but the root is covered by
+    exactly one element, as in any tree poset with one maximal element, so
+    that needs no check. Callers pass an uptree as its dual."""
     if not is_tree_poset(t):
         raise NotATreePoset("pattern must be a tree poset")
     up, down = t._up, t._down
@@ -347,8 +332,6 @@ def _pattern_downtree(t: Poset):
         raise PreconditionViolated("pattern needs a unique extreme element")
     # y is covered by x when nothing lies strictly between them
     kids = [tuple(y for y in _bits(down[x]) if not down[x] & up[y]) for x in range(t.n)]
-    if sorted(y for ys in kids for y in ys) != [x for x in range(t.n) if x != roots[0]]:
-        raise PreconditionViolated("pattern is not a downtree")
     sizes = [down[x].bit_count() + 1 for x in range(t.n)]
     return roots[0], kids, sizes
 

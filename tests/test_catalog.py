@@ -18,6 +18,7 @@ from rainbowposet import (
     posets_by_triangular_filter,
     posets_of_size,
 )
+from rainbowposet import catalog
 from rainbowposet.catalog import order_ideals
 
 EXPECTED = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
@@ -34,6 +35,22 @@ def test_cap():
     # the cap is checked outside the cache, so every cap shares one tuple
     assert posets_of_size(5, 6) is posets_of_size(5)
     assert posets_of_size(5, 6) is posets_of_size(5, 8)
+
+
+def test_no_cap_reaches_past_the_ceiling(monkeypatch):
+    # the size-10 layer does not fit in memory, so it is refused before any
+    # enumeration starts, whatever the cap
+    assert catalog.CATALOG_CEILING == 9
+
+    def enumerate_nothing(n):
+        raise AssertionError(f"enumeration of size {n} started")
+
+    monkeypatch.setattr(catalog, "_posets_of_size", enumerate_nothing)
+    for n, cap in ((10, 10), (10, 99), (11, 10**6)):
+        with pytest.raises(CapExceeded, match=f"n={n} above the ceiling 9"):
+            posets_of_size(n, cap)
+    with pytest.raises(CapExceeded, match="max_n=10 is above the ceiling 9"):
+        catalog.catalog_upto(10, cap=10)
 
 
 def test_no_duplicates_and_sorted():

@@ -190,8 +190,14 @@ def test_bad_family_header_is_a_usage_error(tmp_path, capsys, text):
         "poset n=100000000000000000000\n0 < 1\n",
         "poset n=2 n=3\n",
         "poset n=3 n=2\n0 < 2\n",
+        "poset n=\u0663\n",
+        "poset n=1_0\n",
+        "poset n=+3\n",
     ],
-    ids=["non-decimal", "10**20", "repeated-n", "repeated-n-then-cover"],
+    ids=[
+        "non-decimal", "10**20", "repeated-n", "repeated-n-then-cover",
+        "arabic-indic-digit", "underscore", "sign",
+    ],
 )
 def test_bad_poset_header_is_a_usage_error(tmp_path, capsys, text):
     bad = tmp_path / "bad.poset"
@@ -212,8 +218,18 @@ def test_bad_poset_header_is_a_usage_error(tmp_path, capsys, text):
         (["forces", "{f}", "{f}"], "poset n=3\n0 < 1 < 2\n", "poset text line 2: '0 < 1 < 2'"),
         (["lubell", "{f}"], "families n=2\n1\n", "family text line 1: 'families n=2'"),
         (["lubell", "{f}"], "family n=2\n1,x\n", "family text line 2: '1,x'"),
+        (["forces", "{f}", "{f}"], "poset n=12\n1_0 < 1_1\n", "poset text line 2: '1_0 < 1_1'"),
+        (["forces", "{f}", "{f}"], "poset n=3\n\u0661 < \u0662\n",
+         "poset text line 2: '\u0661 < \u0662'"),
+        (["forces", "{f}", "{f}"], "poset n=2\n-1 < 0\n", "poset text line 2: '-1 < 0'"),
+        (["lubell", "{f}"], "family n=3\n\u0661,\u0662\n", "family text line 2: '\u0661,\u0662'"),
+        (["lubell", "{f}"], "family n=12\n1_0\n", "family text line 2: '1_0'"),
     ],
-    ids=["posetry-header", "two-covers", "families-header", "non-integer-element"],
+    ids=[
+        "posetry-header", "two-covers", "families-header", "non-integer-element",
+        "underscore-cover", "arabic-indic-cover", "negative-cover", "arabic-indic-set",
+        "underscore-set",
+    ],
 )
 def test_a_malformed_line_is_named_with_its_format_and_number(
     tmp_path, capsys, argv, text, message
@@ -330,6 +346,17 @@ def test_negative_ground_set_is_a_usage_error(tmp_path, capsys):
         assert named in lines[0], lines
     with pytest.raises(BadParams, match="n=-1"):
         max_mass_pattern_free_with_extremes(-1, chain(2))
+
+
+def test_a_catalog_past_the_ceiling_is_a_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "catalog"
+    code = main(["gen", "--max-size", "10", "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "max_n=10 is above the ceiling 9" in lines[0], lines
+    assert not list(out_dir.glob("*.poset"))
 
 
 def test_negative_size_is_a_usage_error(tmp_path, capsys):

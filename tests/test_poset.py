@@ -220,8 +220,10 @@ class TestTextFormat:
         assert poset_from_text(poset_to_text(p)).labels == p.labels
 
     def test_a_label_index_that_is_not_decimal_is_a_comment(self):
-        # "²" is a digit but not decimal: int() rejects it
-        p = poset_from_text("poset n=1\n# label \u00b2 top\n# label x top\n")
+        # "²" is a digit but not decimal: int() rejects it; "٠" is decimal
+        # but not ASCII, and "0_0" is not a run of digits: int() takes both
+        text = "poset n=1\n# label \u00b2 top\n# label x top\n# label \u0660 top\n"
+        p = poset_from_text(text + "# label 0_0 top\n")
         assert p.labels is None
 
     def test_missing_header(self):

@@ -88,3 +88,38 @@ def test_no_function_body_imports_a_sibling_module():
                     if isinstance(node, ast.ImportFrom) and node.level:
                         local.add(f"{module}.{func.name}")
     assert not local, f"relative imports inside function bodies: {sorted(local)}"
+
+
+def _own_nodes(func):
+    """The nodes of a function's own scope: its body without the bodies of
+    the functions, lambdas and classes nested in it."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_function_stores_a_local_it_never_reads():
+    # a name the function binds and that neither it nor a function nested
+    # in it ever reads: the leftover of a deletion. A leading underscore
+    # marks a discarded value, and a global or nonlocal name is read in
+    # another scope
+    unread = []
+    for module, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = list(_own_nodes(func))
+            shared = {name for node in own if isinstance(node, (ast.Global, ast.Nonlocal))
+                      for name in node.names}
+            stored = {node.id for node in own
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for name in sorted(stored - read - shared):
+                if name.startswith("_"):
+                    continue
+                unread.append(f"{module}.{func.name}: {name}")
+    assert not unread, f"locals stored but never read: {unread}"

@@ -18,8 +18,10 @@ from rainbowposet import (
     chain,
     classify_tree,
     diamond,
+    disjoint_sum,
     downtree,
     downtree_fuzz_case,
+    dual,
     embed_downtree_on_host,
     embed_universal,
     has_rainbow_copy,
@@ -130,7 +132,6 @@ class TestClassify:
                     assert (meta.dist[x] % 2 == 1) == (meta.side[x] == "down")
 
     def test_blocks_partition(self):
-        # classify_tree raises internally if the blocks fail to partition
         for n in range(1, 6):
             for t in tree_posets_on(n):
                 meta = classify_tree(t)
@@ -145,6 +146,131 @@ class TestClassify:
     def test_rejects_non_trees(self):
         with pytest.raises(NotATreePoset):
             classify_tree(diamond())
+
+
+def reference_is_tree_poset(p):
+    """The cover-graph test: n - 1 covers, connected over a cover
+    adjacency list."""
+    n = p.n
+    if n == 0:
+        return False
+    covers = p.cover_pairs()
+    if len(covers) != n - 1:
+        return False
+    adj = [0] * n
+    for a, b in covers:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    seen = 1
+    frontier = 1
+    while frontier:
+        new = 0
+        for x in range(n):
+            if frontier >> x & 1:
+                new |= adj[x]
+        frontier = new & ~seen
+        seen |= new
+    return seen == (1 << n) - 1
+
+
+def reference_classify_tree(t):
+    """(base, dist, side, orig, blocks) by a list-based breadth-first search,
+    each originator picked by scanning all n elements and sorting the
+    candidates one step closer to the base."""
+    n = t.n
+    base = min(t.maximal_elements())
+    dist = [-1] * n
+    dist[base] = 0
+    frontier = [base]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for x in frontier:
+            for y in range(n):
+                if t.comparable(x, y) and dist[y] < 0:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    assert min(dist) >= 0
+    rank = rank_partition(t)
+    side = tuple("base" if x == base else ("down" if dist[x] % 2 else "up") for x in range(n))
+    orig = [None] * n
+    for z in range(n):
+        if z == base:
+            continue
+        if side[z] == "up":
+            cands = [w for w in range(n) if t.less(w, z) and dist[w] == dist[z] - 1]
+            cands.sort(key=lambda w: (-rank[w], w))
+        else:
+            cands = [w for w in range(n) if t.less(z, w) and dist[w] == dist[z] - 1]
+            cands.sort(key=lambda w: (rank[w], w))
+        orig[z] = cands[0]
+    members = {}
+    for z in range(n):
+        if z != base:
+            members.setdefault(orig[z], []).append(z)
+    blocks = {owner: tuple(sorted([owner] + members.get(owner, []))) for owner in range(n)}
+    return base, tuple(dist), side, tuple(orig), blocks
+
+
+def random_labeled_tree(rng, n):
+    """A tree poset on n elements: each element after the first joins a
+    random earlier one by a cover of random direction, then the labels are
+    shuffled, so no index order follows the tree."""
+    label = rng.sample(range(n), n)
+    covers = []
+    for i in range(1, n):
+        j = rng.randrange(i)
+        covers.append((label[i], label[j]) if rng.random() < 0.5 else (label[j], label[i]))
+    return make_poset(n, covers)
+
+
+def random_labeled_poset(rng, n):
+    order = rng.sample(range(n), n)
+    covers = [(order[a], order[b]) for b in range(n) for a in range(b) if rng.random() < 0.3]
+    return make_poset(n, covers)
+
+
+def assert_matches_the_references(p):
+    assert is_tree_poset(p) == reference_is_tree_poset(p)
+    if is_tree_poset(p):
+        meta = classify_tree(p)
+        got = (meta.base, meta.dist, meta.side, meta.orig, meta.blocks)
+        assert got == reference_classify_tree(p)
+        assert list(meta.blocks) == list(range(p.n))
+
+
+class TestClassifyAgainstReference:
+    def test_every_catalog_poset_and_its_dual(self):
+        trees = 0
+        for n in range(1, 8):
+            for p in posets_of_size(n):
+                for q in (p, dual(p)):
+                    assert_matches_the_references(q)
+                    trees += is_tree_poset(q)
+        assert trees == 2 * (1 + 1 + 3 + 8 + 27 + 91 + 350)  # tree posets on 1..7 elements
+
+    def test_seeded_random_labeled_trees(self):
+        rng = random.Random("classify-reference")
+        for _ in range(1200):
+            t = random_labeled_tree(rng, rng.randint(1, 9))
+            assert is_tree_poset(t)
+            assert_matches_the_references(t)
+            assert_matches_the_references(dual(t))
+
+    def test_seeded_random_labeled_posets(self):
+        rng = random.Random("tree-test-reference")
+        for _ in range(1500):
+            p = random_labeled_poset(rng, rng.randint(0, 9))
+            assert_matches_the_references(p)
+
+    def test_universal_tree_is_a_tree(self):
+        ut = universal_tree(3)
+        assert is_tree_poset(ut.poset) and reference_is_tree_poset(ut.poset)
+        # n - 1 covers, but a 4-cycle and an isolated point
+        cycle_and_point = disjoint_sum(diamond(), chain(1))
+        assert not is_tree_poset(cycle_and_point) and not reference_is_tree_poset(cycle_and_point)
 
 
 class TestEmbedDowntree:
