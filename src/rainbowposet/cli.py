@@ -39,7 +39,7 @@ from .forcing import (
     random_proper_coloring,
     search_M,
 )
-from .poset import canonical_key, poset_from_text, poset_to_text
+from .poset import _number, canonical_key, poset_from_text, poset_to_text
 from .treeembed import check_tree_pattern, embed_universal
 from .verify import run_suite
 
@@ -77,11 +77,25 @@ def _read(path, parse=poset_from_text):
     return parse(text)
 
 
-def _int_param(text):
-    try:
-        return int(text)
-    except ValueError:
-        raise BadParams(f"construct parameter {text!r} is not an integer") from None
+def _integer(what):
+    """A reader of one integer argument, named `what` in its error: ASCII
+    digits, read as the text formats read a number (`poset._number`), with
+    one leading minus kept so that a negative value reaches the check that
+    names it. Anything else (`1_0`, `+3`, a digit of another script)
+    raises BadParams."""
+
+    def read(text):
+        body = text.strip()
+        digits = body.removeprefix("-")
+        value = _number(digits, what) if digits[:1].isdigit() else None
+        if value is None:
+            raise BadParams(f"{what} {text!r} is not an integer")
+        return -value if body.startswith("-") else value
+
+    return read
+
+
+_int_param = _integer("construct parameter")
 
 
 def _run_json(args):
@@ -272,7 +286,7 @@ def build_parser():
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("gen", help="dump the poset catalog to a directory")
-    p.add_argument("--max-size", type=int, default=DEFAULT_CAP)
+    p.add_argument("--max-size", type=_integer("option --max-size"), default=DEFAULT_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_run_json, cmd=cmd_gen)
 
@@ -290,18 +304,20 @@ def build_parser():
 
     p = sub.add_parser("search-m", help="all minimal forcers up to a size bound")
     p.add_argument("pattern")
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_integer("option --max-size"), required=True)
     p.set_defaults(fn=_run_json, cmd=cmd_search_m)
 
     p = sub.add_parser("m-value", help="minimum forcing size (or bracket)")
     p.add_argument("pattern")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=_integer("option --cap"), default=DEFAULT_CAP)
     p.set_defaults(fn=_run_json, cmd=cmd_m_value)
 
     p = sub.add_parser("embed", help="rainbow-embed a tree into a universal tree")
     p.add_argument("--tree", required=True)
-    p.add_argument("--k", type=int, help="universal tree order (default: the tree's size)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--k", type=_integer("option --k"), help="universal tree order (default: the tree's size)"
+    )
+    p.add_argument("--seed", type=_integer("option --seed"), default=0)
     p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(fn=cmd_embed)
 
@@ -310,19 +326,19 @@ def build_parser():
     p.set_defaults(fn=_run_json, cmd=cmd_lubell)
 
     p = sub.add_parser("sigma", help="sum of the k largest binomials")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("n", type=_integer("argument n"))
+    p.add_argument("k", type=_integer("argument k"))
     p.set_defaults(fn=_run_json, cmd=cmd_sigma)
 
     p = sub.add_parser("la-star", help="largest pattern-free family size")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer("argument n"))
     p.add_argument("--pattern", dest="patterns", action="append", required=True)
     p.add_argument("--bracket", action="store_true", help="budgeted bounds (n=5)")
-    p.add_argument("--node-budget", type=int, help="needs --bracket")
+    p.add_argument("--node-budget", type=_integer("option --node-budget"), help="needs --bracket")
     p.set_defaults(fn=_run_json, cmd=cmd_la_star)
 
     p = sub.add_parser("lar-star", help="largest rainbow-refutable family size")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer("argument n"))
     p.add_argument("pattern")
     p.set_defaults(fn=_run_json, cmd=cmd_lar_star)
 
@@ -342,11 +358,10 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = parser.parse_args(argv)  # an integer argument raises BadParams here
         return args.fn(args)
+    except SystemExit as exc:  # argparse's own usage errors, and --help
+        return 2 if exc.code not in (0, None) else 0
     except ForcingTimeout as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

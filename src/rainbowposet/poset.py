@@ -322,17 +322,21 @@ def is_tree_poset(p: Poset) -> bool:
     n = p.n
     if n == 0:
         return False
-    if len(p.cover_pairs()) != n - 1:
-        return False
-    seen = 1
-    frontier = 1
+    return len(p.cover_pairs()) == n - 1 and _is_connected(p)
+
+
+def _is_connected(p: Poset) -> bool:
+    """Whether the comparability graph, over the up | down rows, is
+    connected: a search from element 0 reaches every element. The empty
+    poset counts as connected."""
+    seen = frontier = 1 if p.n else 0
     while frontier:
         new = 0
         for x in _bits(frontier):
             new |= p._up[x] | p._down[x]
         frontier = new & ~seen
         seen |= new
-    return seen == (1 << n) - 1
+    return seen == (1 << p.n) - 1
 
 
 # --- canonical keys and isomorphism ---------------------------------------

@@ -118,8 +118,38 @@ def test_a_value_error_from_a_bug_is_an_internal_error(monkeypatch, capsys):
         (["forces", "{f}", "{f}"], "poset n=" + "9" * 5000, "poset header n= has 5000 digits"),
         (["lubell", "{f}"], "family n=" + "9" * 5000, "family header n= has 5000 digits"),
         (["forces", "{f}", "{f}"], "poset n=1\n# label " + "9" * 5000 + " a", "line 2: label"),
+        # integer arguments take ASCII digits and a leading minus, as the
+        # text formats read a number
+        (["construct", "chain", "1_0"], None, "construct parameter '1_0' is not an integer"),
+        (["construct", "chain", "\u0663"], None, "construct parameter '\u0663' is not"),
+        (["construct", "chain", "+3"], None, "construct parameter '+3' is not"),
+        (["sigma", "\u0663", "1"], None, "argument n '\u0663' is not an integer"),
+        (["sigma", "4", "1_0"], None, "argument k '1_0' is not an integer"),
+        (["sigma", "-", "1"], None, "argument n '-' is not an integer"),
+        (["sigma", "9" * 5000, "1"], None, "argument n has 5000 digits"),
+        (["gen", "--max-size", "\u0663", "--out", "{f}"], None, "option --max-size '\u0663'"),
+        (["m-value", "{f}", "--cap", "1_0"], "poset n=1\n", "option --cap '1_0' is not"),
+        (["embed", "--tree", "{f}", "--seed", "1_0"], "poset n=1\n", "option --seed '1_0'"),
     ],
-    ids=["construct", "blowup", "not-utf8", "not-utf8-family", "poset-n", "family-n", "label"],
+    ids=[
+        "construct",
+        "blowup",
+        "not-utf8",
+        "not-utf8-family",
+        "poset-n",
+        "family-n",
+        "label",
+        "construct-underscore",
+        "construct-arabic-indic",
+        "construct-plus",
+        "sigma-arabic-indic",
+        "sigma-underscore",
+        "sigma-bare-minus",
+        "sigma-digits",
+        "gen-max-size",
+        "m-value-cap",
+        "embed-seed",
+    ],
 )
 def test_a_value_error_of_user_input_is_a_usage_error(tmp_path, capsys, argv, content, message):
     path = tmp_path / "input.txt"
@@ -132,6 +162,17 @@ def test_a_value_error_of_user_input_is_a_usage_error(tmp_path, capsys, argv, co
     assert code == 2 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+def test_a_negative_seed_is_an_integer(tmp_path, capsys):
+    from rainbowposet.cli import build_parser
+
+    tree = tmp_path / "vee.poset"
+    run_cli(capsys, "construct", "vee", "-o", str(tree))
+    args = build_parser().parse_args(["embed", "--tree", str(tree), "--seed", "-1"])
+    assert args.seed == -1
+    code, out = run_cli(capsys, "embed", "--tree", str(tree), "--seed", "-1")
+    assert code == 0 and out.endswith("verified: true\n")
 
 
 def test_gen_manifest(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Proper colorings, rainbow copies and the forcing decision procedure."""
 
 import hashlib
+import itertools
+import math
 import random
 import subprocess
 import sys
@@ -47,7 +49,9 @@ from rainbowposet import (
     vee,
     verify_linear_sum_closure,
 )
+from rainbowposet._copies import plan_for
 from rainbowposet.forcing import _forces
+from rainbowposet.poset import _is_connected, _previous_twins
 from test_canonical_keys import random_labeled_posets
 from test_copies import PATTERNS
 from test_poset import naive_induced_copies
@@ -618,7 +622,7 @@ class TestFirstRefutation:
         # one color, say) shows although it keeps every answer; the rank
         # coloring refutes most cases with one copy search or none, and
         # each loop node but a twin's makes one search under the fresh color
-        assert calls == 4137
+        assert calls == 3423
 
     def test_loop_state_is_built_once_and_only_when_the_first_leaf_fails(self, monkeypatch):
         # The two refutations below are first leaves, which build no loop
@@ -642,3 +646,101 @@ class TestFirstRefutation:
         monkeypatch.setattr(forcing, "_previous_twins", counted)
         assert refuting_coloring(organ(2), antichain(2)) is None
         assert setups == [organ(2).n]
+
+
+def _degree_order(host):
+    """Elements by descending number of comparable elements, ties by index."""
+    degree = [sum(host.comparable(x, y) for y in range(host.n)) for x in range(host.n)]
+    return sorted(range(host.n), key=lambda x: (-degree[x], x))
+
+
+def _loop_along(host, pattern, order):
+    """The colors the forcing loop alone finds along `order`, with no
+    first-leaf test and no budget, or None when it proves forcing."""
+    from rainbowposet import forcing
+
+    twin = _previous_twins(host._up, host._down)
+    return forcing._refuting_colors(host, plan_for(pattern), order, twin, math.inf, None)
+
+
+class TestDecisionOrder:
+    """A connected pattern is decided along the degree order, a
+    disconnected one along the rank order, and refutations stay the first
+    ones along the rank order."""
+
+    def test_verdicts_match_the_rank_order_loop(self):
+        hosts = [h for n in range(1, 7) for h in posets_of_size(n)]
+        assert len(hosts) == 405 and len(PATTERNS) == 24
+        verdicts = set()
+        for host in hosts:
+            for pattern in PATTERNS:
+                forces = _loop_along(host, pattern, _rank_order(host)) is None
+                assert _forces(host, pattern) == forces, (host._up, pattern._up)
+                verdicts.add((_is_connected(pattern), forces))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_the_six_cube_forces_the_diamond_in_a_few_copy_searches(self, copy_searches):
+        # along the rank order this search makes hundreds of thousands of
+        # copy searches before it can close a branch; along the degree
+        # order the first elements colored already hold every copy
+        cube = family_poset(SetFamily(6, tuple(range(64))))
+        assert _forces(cube, diamond(), budget_s=5)
+        assert len(copy_searches) <= 100
+
+    def test_previous_twins_come_first_along_the_degree_order(self, monkeypatch):
+        from rainbowposet import forcing
+
+        loops = []
+        loop = forcing._refuting_colors
+
+        def recorded(host, plan, order, twin, deadline, budget_s):
+            loops.append((host, order, twin))
+            return loop(host, plan, order, twin, deadline, budget_s)
+
+        monkeypatch.setattr(forcing, "_refuting_colors", recorded)
+        hosts = random_labeled_posets(count=1500, seed=3407)
+        hosts += [
+            blowup(p, pi)
+            for n in (3, 4)
+            for p in posets_of_size(n)
+            for pi in itertools.permutations(range(n))
+        ]
+        connected = [p for p in PATTERNS if p.n >= 2 and _is_connected(p)]
+        twins_checked = 0
+        for host in hosts:
+            for pattern in connected:
+                del loops[:]
+                _forces(host, pattern)
+                for loop_host, order, twin in loops:  # the first leaf runs no loop
+                    assert loop_host is host and order == _degree_order(host)
+                    place = {x: i for i, x in enumerate(order)}
+                    for x in range(host.n):
+                        if twin[x] >= 0:
+                            assert place[twin[x]] < place[x], (host._up, x)
+                            twins_checked += 1
+        assert twins_checked > 1000
+
+    def test_refutations_past_the_first_leaf_are_the_rank_order_loop_s(self):
+        # the first leaf refutes most of TestFirstRefutation's cases, so
+        # larger seeded hosts are added
+        cases = TestFirstRefutation.CASES + [
+            (host, pattern)
+            for host in random_labeled_posets(count=1500, seed=3407)
+            for pattern in PATTERNS
+        ]
+        loop_refuted = reordered = 0
+        for host, pattern in cases:
+            leaf = Coloring.from_values(_ranks(host))
+            if not _is_connected(pattern) or not has_rainbow_copy(host, leaf, pattern):
+                continue
+            refutation = refuting_coloring(host, pattern)
+            along_rank = _loop_along(host, pattern, _rank_order(host))
+            if along_rank is None:
+                assert refutation is None
+                continue
+            assert refutation == Coloring.from_values(along_rank), (host._up, pattern._up)
+            along_degree = _loop_along(host, pattern, _degree_order(host))
+            loop_refuted += 1
+            reordered += refutation != Coloring.from_values(along_degree)
+        # without the rank-order loop, most of these refutations would change
+        assert loop_refuted > 40 and reordered > 20
