@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -96,6 +97,18 @@ def _integer(what):
 
 
 _int_param = _integer("construct parameter")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, taking every argument that starts with a minus and a digit
+    (or a minus, a point and a digit) as a value: no option starts with a
+    digit, and argparse's own test, digits or a decimal after the minus,
+    sends `-1_0` to its option parser, whose usage error does not name it.
+    `add_parser` builds the subparsers with this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _run_json(args):
@@ -265,7 +278,7 @@ def cmd_verify(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rainbowposet",
         description="Exact rainbow-forcing searches on small posets and cubes",
     )

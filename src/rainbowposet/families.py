@@ -89,11 +89,15 @@ def lubell_mass(f: SetFamily) -> Fraction:
 
 
 def sigma(n: int, k: int) -> int:
-    """Sum of the k largest binomial coefficients of order n."""
+    """Sum of the k largest binomial coefficients of order n. Every sum with
+    k >= 1 holds the middle one, C(n, n // 2), and `math.comb` takes
+    min(j, n - j) only up to 2**63 - 1, so a larger n // 2 raises BadParams."""
     if n < 0:
         raise BadParams(f"ground set size n={n} is negative")
     if not 0 <= k <= n + 1:
         raise BadParams("sigma needs 0 <= k <= n+1")
+    if k and n // 2 >= 2**63:
+        raise BadParams(f"ground set size n={n} is too large for sigma: n // 2 exceeds 2**63 - 1")
     base = (n - k) // 2
     return sum(comb(n, base + i) for i in range(1, k + 1))
 

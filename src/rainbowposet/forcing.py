@@ -20,7 +20,6 @@ from .errors import BadParams, ForcingTimeout, PreconditionViolated
 from .poset import (
     Poset,
     _bits,
-    _is_connected,
     _previous_twins,
     canonical_key,
     dual,
@@ -204,15 +203,16 @@ def refuting_coloring(
     The canonical order is the rank-then-index order, whatever the
     pattern, so the refutation returned does not depend on the order that
     decided: `_decide` takes the verdict along the degree order when the
-    pattern is connected, and when that loop refutes past the first leaf,
-    the loop runs again along the rank order, under the same deadline, and
-    its refutation is returned. A refutation found along the degree order
-    is as valid, but it is another coloring, and the first refutation along
-    one fixed order is what every output and re-check is written against.
-    The rerun is cheap where it runs: on `forcing-random` seed 1 the 96
-    refutations past the first leaf take 3,042 loop nodes along the rank
-    order, and the degree-order loop before them 385. A forced verdict
-    needs no rerun, and there the degree order saves the most."""
+    pattern has a comparable pair, and when that loop refutes past the
+    first leaf, the loop runs again along the rank order, under the same
+    deadline, and its refutation is returned. A refutation found along the
+    degree order is as valid, but it is another coloring, and the first
+    refutation along one fixed order is what every output and re-check is
+    written against. The rerun is cheap where it runs: on `forcing-random`
+    seed 1 the 78 refutations past the first leaf take 3,446 copy searches
+    along the rank order, and the degree-order loop before them 1,164, of
+    23,909 in all. A forced verdict needs no rerun, and there the degree
+    order saves the most."""
     colors = _decide(host, pattern, budget_s, first=True)
     return None if colors is None else Coloring.from_values(colors)
 
@@ -232,22 +232,43 @@ def _decide(host: Poset, pattern: Poset, budget_s, first: bool) -> Optional[list
     it is the first refutation, and no loop runs. This also refutes a host
     with no copy of the pattern at all.
 
-    Otherwise the loop decides, along the degree order when the pattern's
-    comparability graph is connected (elements by descending |up ∪ down|,
-    ties by index), else along the rank order. A copy of a connected
-    pattern is a connected set, so along the rank order it can close a
-    branch only once its top element is colored, and every coloring of
-    the lower layers is enumerated first; the most comparable elements
-    first (the fail-first rule of Haralick and Elliott, Artificial
-    Intelligence 14, 1980) close branches after few elements. On
-    `forcing-random` seed 1 the 434 forced decisions fell from 113,494
-    loop nodes to 25,296 and from 96,521 copy searches to 31,954, and the
-    6-cube against K_{2,2} decides (it forces) after 733,471 copy
-    searches, about 14 s, where the rank order ran past 600 s. A
-    disconnected pattern, such as an antichain, is slower along the degree
-    order: `organ(5)` and a blow-up of A5 each take 1,692,862 loop nodes
-    against A5, against 124,072 along the rank order, and the 6-cube
-    against A4 takes 109 s against 3.3 s. So it keeps the rank order."""
+    Otherwise the loop decides, along the degree order (elements by
+    descending |up ∪ down|, ties by index) when the pattern has a
+    comparable pair, else, for an antichain, along the rank order. A
+    comparable pair of the pattern maps to a comparable pair of the host,
+    whose elements have different ranks, so every copy of such a pattern
+    spans two ranks. Along the rank order it can close a branch only once
+    the antichain of rank-1 elements is colored, so every coloring of that
+    layer is enumerated first; the most comparable elements first (the
+    fail-first rule of Haralick and Elliott, Artificial Intelligence 14,
+    1980) close branches after few elements, whether the pattern is
+    connected or not. Measured (on one CPU):
+    - connected patterns: on `forcing-random` seed 1 the 434 forced
+      decisions fell from 113,494 loop nodes to 25,296, and the 6-cube
+      against K_{2,2} decides (it forces) in about 14 s, where the rank
+      order ran past 600 s;
+    - disconnected ones with a comparable pair, which were on the rank
+      order before: seed 1 falls from 37,290 copy searches to 23,909 in
+      all. The 5-cube forces the 3-chain beside a point after 8,754 (0.2
+      s), where the rank order ran out of 20 s after 1.5 million, and the
+      6-cube forces it after 124,946 (2.7 s). Over 168 hard decisions
+      (the blow-ups of the 24 such patterns on 3 to 5 elements in two
+      insertion orders, and the 4-cube, the 5-cube and `organ(3..5)`
+      against each), the time fell from 57.7 s with one timeout to 11.5
+      s; `organ(5)` against the 4-chain beside a point went from 15.2 s
+      to under 1 ms. Twelve of them slowed by more than 1.5x, 6.0 s in
+      all, mostly patterns whose elements are mostly isolated: a blow-up
+      of A3 beside a 2-chain (0.74 -> 3.87 s) and of the wedge or vee
+      beside two points (about 0.15 -> 0.8 s). Sending every pattern with
+      two or more isolated elements to the rank order as well gained 2.1 s
+      over the 168, and lost `organ(5)` against the 3-chain beside two
+      points (0.01 -> 2.3 s).
+    An antichain's copies can close a branch inside the first layer, and
+    it is far slower along the degree order: `organ(5)` and a blow-up of
+    A5 each take 1,692,862 loop nodes against A5, against 124,072 along
+    the rank order, and the 6-cube against A4 takes 109 s against 3.3 s.
+    So it keeps the rank order, and `m_value(antichain(4))` and every
+    `o_jk` decision with it."""
     deadline = _deadline(budget_s)
     if pattern.n == 0:
         return None
@@ -258,7 +279,7 @@ def _decide(host: Poset, pattern: Poset, budget_s, first: bool) -> Optional[list
         return colors
     twin = _previous_twins(up, down)
     by_rank = sorted(range(host.n), key=rank.__getitem__)
-    if not _is_connected(pattern):
+    if not any(pattern._up):  # an antichain
         return _refuting_colors(host, plan, by_rank, twin, deadline, budget_s)
     by_degree = sorted(range(host.n), key=lambda x: -(up[x] | down[x]).bit_count())
     colors = _refuting_colors(host, plan, by_degree, twin, deadline, budget_s)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from rainbowposet import (
     max_mass_pattern_free_with_extremes,
     organ,
     poset_from_text,
+    sigma,
 )
 from rainbowposet.cli import main
 
@@ -127,6 +129,10 @@ def test_a_value_error_from_a_bug_is_an_internal_error(monkeypatch, capsys):
         (["sigma", "4", "1_0"], None, "argument k '1_0' is not an integer"),
         (["sigma", "-", "1"], None, "argument n '-' is not an integer"),
         (["sigma", "9" * 5000, "1"], None, "argument n has 5000 digits"),
+        # a minus and a digit start a value, not an option
+        (["sigma", "-1_0", "1"], None, "argument n '-1_0' is not an integer"),
+        (["construct", "chain", "-1_0"], None, "construct parameter '-1_0' is not an integer"),
+        (["sigma", "9" * 20, "1"], None, "ground set size n=" + "9" * 20 + " is too large"),
         (["gen", "--max-size", "\u0663", "--out", "{f}"], None, "option --max-size '\u0663'"),
         (["m-value", "{f}", "--cap", "1_0"], "poset n=1\n", "option --cap '1_0' is not"),
         (["embed", "--tree", "{f}", "--seed", "1_0"], "poset n=1\n", "option --seed '1_0'"),
@@ -146,6 +152,9 @@ def test_a_value_error_from_a_bug_is_an_internal_error(monkeypatch, capsys):
         "sigma-underscore",
         "sigma-bare-minus",
         "sigma-digits",
+        "sigma-minus-underscore",
+        "construct-minus-underscore",
+        "sigma-too-large",
         "gen-max-size",
         "m-value-cap",
         "embed-seed",
@@ -173,6 +182,22 @@ def test_a_negative_seed_is_an_integer(tmp_path, capsys):
     assert args.seed == -1
     code, out = run_cli(capsys, "embed", "--tree", str(tree), "--seed", "-1")
     assert code == 0 and out.endswith("verified: true\n")
+
+
+def test_sigma_takes_every_ground_set_math_comb_takes(capsys):
+    # every sum with k >= 1 holds C(n, n // 2), and math.comb refuses it
+    # from n = 2**64 on; an empty sum computes no coefficient
+    with pytest.raises(OverflowError):
+        math.comb(2**64, 2**63)
+    for n in (2**64, 2**64 + 1, 10**20):
+        with pytest.raises(BadParams, match=f"n={n} is too large"):
+            sigma(n, 1)
+        assert main(["sigma", str(n), "1"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and f"n={n}" in lines[0]
+        assert sigma(n, 0) == 0
+    assert run_cli(capsys, "sigma", str(10**20), "0") == (0, '{"schema": 1, "value": 0}\n')
+    assert sigma(2**64 - 1, 0) == 0 and sigma(5, 2) == 20
 
 
 def test_gen_manifest(tmp_path, capsys):

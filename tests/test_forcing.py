@@ -622,7 +622,7 @@ class TestFirstRefutation:
         # one color, say) shows although it keeps every answer; the rank
         # coloring refutes most cases with one copy search or none, and
         # each loop node but a twin's makes one search under the fresh color
-        assert calls == 3423
+        assert calls == 3311
 
     def test_loop_state_is_built_once_and_only_when_the_first_leaf_fails(self, monkeypatch):
         # The two refutations below are first leaves, which build no loop
@@ -663,10 +663,20 @@ def _loop_along(host, pattern, order):
     return forcing._refuting_colors(host, plan_for(pattern), order, twin, math.inf, None)
 
 
+KINDS = ("antichain", "connected", "disconnected")
+
+
+def _kind(pattern):
+    """Which of KINDS a pattern is; a one-element pattern is an antichain."""
+    if not any(pattern._up):
+        return "antichain"
+    return "connected" if _is_connected(pattern) else "disconnected"
+
+
 class TestDecisionOrder:
-    """A connected pattern is decided along the degree order, a
-    disconnected one along the rank order, and refutations stay the first
-    ones along the rank order."""
+    """A pattern with a comparable pair, connected or not, is decided along
+    the degree order, an antichain along the rank order, and refutations
+    stay the first ones along the rank order."""
 
     def test_verdicts_match_the_rank_order_loop(self):
         hosts = [h for n in range(1, 7) for h in posets_of_size(n)]
@@ -676,8 +686,8 @@ class TestDecisionOrder:
             for pattern in PATTERNS:
                 forces = _loop_along(host, pattern, _rank_order(host)) is None
                 assert _forces(host, pattern) == forces, (host._up, pattern._up)
-                verdicts.add((_is_connected(pattern), forces))
-        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+                verdicts.add((_kind(pattern), forces))
+        assert verdicts == {(kind, forces) for kind in KINDS for forces in (True, False)}
 
     def test_the_six_cube_forces_the_diamond_in_a_few_copy_searches(self, copy_searches):
         # along the rank order this search makes hundreds of thousands of
@@ -686,6 +696,15 @@ class TestDecisionOrder:
         cube = family_poset(SetFamily(6, tuple(range(64))))
         assert _forces(cube, diamond(), budget_s=5)
         assert len(copy_searches) <= 100
+
+    def test_the_five_cube_forces_the_three_chain_beside_a_point(self, copy_searches):
+        # a disconnected pattern with a comparable pair: along the rank
+        # order this search makes over 1.5 million copy searches in 20 s
+        # without a verdict, since no copy closes a branch before the
+        # whole first layer is colored
+        cube = family_poset(SetFamily(5, tuple(range(32))))
+        assert _forces(cube, make_poset(4, [(1, 2), (2, 3)]), budget_s=5)
+        assert len(copy_searches) <= 20_000
 
     def test_previous_twins_come_first_along_the_degree_order(self, monkeypatch):
         from rainbowposet import forcing
@@ -705,20 +724,24 @@ class TestDecisionOrder:
             for p in posets_of_size(n)
             for pi in itertools.permutations(range(n))
         ]
-        connected = [p for p in PATTERNS if p.n >= 2 and _is_connected(p)]
         twins_checked = 0
+        loops_run = dict.fromkeys(KINDS, 0)
         for host in hosts:
-            for pattern in connected:
+            degree_order, rank_order = _degree_order(host), _rank_order(host)
+            for pattern in PATTERNS:
+                kind = _kind(pattern)
+                expected = rank_order if kind == "antichain" else degree_order
                 del loops[:]
                 _forces(host, pattern)
                 for loop_host, order, twin in loops:  # the first leaf runs no loop
-                    assert loop_host is host and order == _degree_order(host)
+                    assert loop_host is host and order == expected, (host._up, pattern._up)
+                    loops_run[kind] += 1
                     place = {x: i for i, x in enumerate(order)}
                     for x in range(host.n):
                         if twin[x] >= 0:
                             assert place[twin[x]] < place[x], (host._up, x)
                             twins_checked += 1
-        assert twins_checked > 1000
+        assert min(loops_run.values()) > 500 and twins_checked > 1000
 
     def test_refutations_past_the_first_leaf_are_the_rank_order_loop_s(self):
         # the first leaf refutes most of TestFirstRefutation's cases, so
@@ -728,10 +751,12 @@ class TestDecisionOrder:
             for host in random_labeled_posets(count=1500, seed=3407)
             for pattern in PATTERNS
         ]
-        loop_refuted = reordered = 0
+        loop_refuted = reordered = disconnected = 0
         for host, pattern in cases:
             leaf = Coloring.from_values(_ranks(host))
-            if not _is_connected(pattern) or not has_rainbow_copy(host, leaf, pattern):
+            # an antichain is decided along the rank order, and so is a
+            # first-leaf refutation
+            if _kind(pattern) == "antichain" or not has_rainbow_copy(host, leaf, pattern):
                 continue
             refutation = refuting_coloring(host, pattern)
             along_rank = _loop_along(host, pattern, _rank_order(host))
@@ -742,5 +767,6 @@ class TestDecisionOrder:
             along_degree = _loop_along(host, pattern, _degree_order(host))
             loop_refuted += 1
             reordered += refutation != Coloring.from_values(along_degree)
+            disconnected += _kind(pattern) == "disconnected"
         # without the rank-order loop, most of these refutations would change
-        assert loop_refuted > 40 and reordered > 20
+        assert loop_refuted > 40 and reordered > 20 and disconnected > 20
