@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
@@ -109,6 +110,10 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        """A usage error as one `error:` line, as every other one is."""
+        self.exit(2, f"error: {self.prog}: {message}\n")
 
 
 def _run_json(args):
@@ -229,7 +234,18 @@ def cmd_lubell(args):
 
 
 def cmd_sigma(args):
-    return {"value": sigma(args.n, args.k)}
+    # a sum with k >= 1 holds C(n, n // 2) >= 2**n / (n + 1), so past this
+    # n it has more digits than an int may print (0: no limit); the n just
+    # below it are tested once the sum is computed. n stays an int here, as
+    # a float cannot hold every n.
+    n, k, limit = args.n, args.k, sys.get_int_max_str_digits()
+    too_large = BadParams(f"ground set size n={n} is too large: sigma has over {limit} digits")
+    if limit and 0 < k <= n + 1 and n - (n + 1).bit_length() >= limit * math.log2(10):
+        raise too_large
+    value = sigma(n, k)
+    if limit and value >= 10**limit:
+        raise too_large
+    return {"value": value}
 
 
 def cmd_la_star(args):

@@ -165,32 +165,6 @@ def _deadline(budget_s):
     return time.monotonic() + budget_s
 
 
-def _never_linked(classes, reach, comp, free):
-    """Whether two color classes A < B have no comparable pair between them
-    in any completion of a partial coloring. reach[c] holds the elements
-    comparable to a member of class c, and free the uncolored elements. An
-    unlinked pair can still be linked by (i) a free element in reach[B] but
-    not reach[A], which may join A, (ii) the mirror case, which may join B,
-    or (iii) a comparable pair of free elements outside reach[A] and
-    reach[B]. Once (i) and (ii) fail, those two sets of free elements are
-    one, so (iii) asks for a comparable pair inside it."""
-    for b in range(1, len(classes)):
-        rb = reach[b]
-        for a in range(b):
-            ra = reach[a]
-            if classes[a] & rb or free & (ra ^ rb):
-                continue
-            loose = rest = free & ~ra
-            while rest:
-                low = rest & -rest
-                if comp[low.bit_length() - 1] & loose:
-                    break
-                rest ^= low
-            else:
-                return True
-    return False
-
-
 def refuting_coloring(
     host: Poset, pattern: Poset, budget_s: Optional[float] = DEFAULT_BUDGET_S
 ) -> Optional[Coloring]:
@@ -209,9 +183,9 @@ def refuting_coloring(
     degree order is as valid, but it is another coloring, and the first
     refutation along one fixed order is what every output and re-check is
     written against. The rerun is cheap where it runs: on `forcing-random`
-    seed 1 the 78 refutations past the first leaf take 3,446 copy searches
-    along the rank order, and the degree-order loop before them 1,164, of
-    23,909 in all. A forced verdict needs no rerun, and there the degree
+    seed 1 the 78 refutations past the first leaf take 2,678 copy searches
+    along the rank order, and the degree-order loop before them 1,171, of
+    18,311 in all. A forced verdict needs no rerun, and there the degree
     order saves the most."""
     colors = _decide(host, pattern, budget_s, first=True)
     return None if colors is None else Coloring.from_values(colors)
@@ -242,31 +216,14 @@ def _decide(host: Poset, pattern: Poset, budget_s, first: bool) -> Optional[list
     layer is enumerated first; the most comparable elements first (the
     fail-first rule of Haralick and Elliott, Artificial Intelligence 14,
     1980) close branches after few elements, whether the pattern is
-    connected or not. Measured (on one CPU):
-    - connected patterns: on `forcing-random` seed 1 the 434 forced
-      decisions fell from 113,494 loop nodes to 25,296, and the 6-cube
-      against K_{2,2} decides (it forces) in about 14 s, where the rank
-      order ran past 600 s;
-    - disconnected ones with a comparable pair, which were on the rank
-      order before: seed 1 falls from 37,290 copy searches to 23,909 in
-      all. The 5-cube forces the 3-chain beside a point after 8,754 (0.2
-      s), where the rank order ran out of 20 s after 1.5 million, and the
-      6-cube forces it after 124,946 (2.7 s). Over 168 hard decisions
-      (the blow-ups of the 24 such patterns on 3 to 5 elements in two
-      insertion orders, and the 4-cube, the 5-cube and `organ(3..5)`
-      against each), the time fell from 57.7 s with one timeout to 11.5
-      s; `organ(5)` against the 4-chain beside a point went from 15.2 s
-      to under 1 ms. Twelve of them slowed by more than 1.5x, 6.0 s in
-      all, mostly patterns whose elements are mostly isolated: a blow-up
-      of A3 beside a 2-chain (0.74 -> 3.87 s) and of the wedge or vee
-      beside two points (about 0.15 -> 0.8 s). Sending every pattern with
-      two or more isolated elements to the rank order as well gained 2.1 s
-      over the 168, and lost `organ(5)` against the 3-chain beside two
-      points (0.01 -> 2.3 s).
+    connected or not. Measured on one CPU, the 6-cube forces K_{2,2} after
+    10,209 copy searches in the loop (0.12 s), where the rank order gives
+    no verdict in 120 s, and the 5-cube forces the 3-chain beside a point
+    after 1,880, against 14,034 along the rank order.
     An antichain's copies can close a branch inside the first layer, and
-    it is far slower along the degree order: `organ(5)` and a blow-up of
-    A5 each take 1,692,862 loop nodes against A5, against 124,072 along
-    the rank order, and the 6-cube against A4 takes 109 s against 3.3 s.
+    it is far slower along the degree order: `organ(5)` against A5 takes
+    36.9 million copy searches (154 s) along it and 30,879 (0.24 s) along
+    the rank order, and the 6-cube against A4 takes 59 s against 0.3 s.
     So it keeps the rank order, and `m_value(antichain(4))` and every
     `o_jk` decision with it."""
     deadline = _deadline(budget_s)
@@ -307,15 +264,7 @@ def _refuting_colors(host: Poset, plan, order, twin, deadline, budget_s) -> Opti
 
     Colors are tried in ascending order, so the refutation found is the
     lexicographically first restricted-growth string along the order, and
-    a branch may be cut when each refutation in it has a smaller one. Two
-    cuts do so at every node of the loop, and their state is built once,
-    where it starts.
-    - Merge: if two classes A < B of a refutation have no comparable pair
-      between them, merging B into A is still proper and still has no
-      rainbow copy (a merge never makes a copy rainbow), and it is smaller
-      at B's first element. So the first refutation links every pair of
-      classes, and a node where some pair can no longer be linked
-      (`_never_linked`) is cut.
+    a branch may be cut when it holds no first refutation. Two rules do so.
     - Twins (equal up and down rows): giving one twin the other's color
       keeps a refutation, since a copy through one twin maps to a copy
       through the other with the same colors. Giving the twin with the
@@ -323,34 +272,49 @@ def _refuting_colors(host: Poset, plan, order, twin, deadline, budget_s) -> Opti
       smaller color was first used before the larger one, so before that
       twin. So the first refutation gives twins one color, and a twin
       tries only the color of its previous twin in index order, which the
-      order puts before it.
-    Both arguments hold along any order that puts each previous twin
-    first, so the cuts are exact along every order `_decide` uses. Take
-    any refutation, give twins one color and merge classes that never
-    link: the result is a refutation that no cut removes along its own
-    path, so the verdict is the same along every such order.
+      order puts before it. This holds along every order `_decide` uses.
+    - Jumps (conflict-directed backjumping: Prosser, Computational
+      Intelligence 9, 1993): each frame keeps a conflict mask of elements
+      colored before its own, the union of why each color of its element
+      failed: the other elements of the copy found under the fresh color,
+      for every color they do not use; the class members comparable to the
+      element, for an improper color; the other elements of a rainbow copy
+      found under the color; the previous twin, for a twin's other colors;
+      and a failed child's mask without the element itself. No refutation
+      whose twins share a color extends a coloring that induces the same
+      partition as a reason on its elements and the element colored, and
+      the node's mask holds that way for every color of its element at
+      once: a class of such a coloring that meets the mask is a color the
+      node tried, and one that meets none acts as its fresh color. So when
+      a child's mask lacks the element, no other color of it can help: the
+      loop pops frames up to the last one whose element the mask names
+      (the deepest along the order), merges the mask there and goes on with
+      that frame's next color, and an empty mask ends the search. A jump
+      skips only subtrees that hold no such refutation, so the verdict and
+      the first refutation are the same as without jumps.
     """
     n = host.n
     up, down = host._up, host._down
     comp = [u | d for u, d in zip(up, down)]
-    everything = (1 << n) - 1
     colors = [0] * n
     classes = []  # one bitmask of elements per color
-    # per color, the elements comparable to a member; per colored element,
-    # its class's reach before it joined
-    reach, before = [0] * n, [0] * n
     # per colored element: (element, fresh color, the copy that decided its
-    # colors, an iterator over the colors left)
+    # colors, an iterator over the colors left, the conflict of those tried)
     frames = []
-    backtrack = False  # whether the child of the last frame failed
+    failed = 0  # the conflict of the child that failed, 0 while going down
     assigned = 0  # the colored elements and the one being colored
     nodes = 0
     while True:
-        if backtrack:  # take back the color under which the child failed
-            e, fresh, copy, tried = frames.pop()
-            bit = 1 << e
-            classes[colors[e]] ^= bit
-            reach[colors[e]] = before[e]
+        if failed:  # back to the last colored element the failure names
+            while True:
+                e, fresh, copy, tried, conflict = frames.pop()
+                bit = 1 << e
+                classes[colors[e]] ^= bit
+                if failed & bit:
+                    break
+                del classes[fresh:]
+                assigned ^= bit
+            conflict |= failed ^ bit
         else:
             nodes += 1
             if not nodes & 255 and time.monotonic() > deadline:
@@ -358,9 +322,6 @@ def _refuting_colors(host: Poset, plan, order, twin, deadline, budget_s) -> Opti
             i = len(frames)
             if i == n:
                 return colors
-            if _never_linked(classes, reach, comp, everything ^ assigned):
-                backtrack = True
-                continue
             e = order[i]
             bit = 1 << e
             assigned |= bit
@@ -368,34 +329,37 @@ def _refuting_colors(host: Poset, plan, order, twin, deadline, budget_s) -> Opti
             if twin[e] >= 0:
                 # the first refutation gives twins one color: e tries only its
                 # twin's, with a copy search of its own
-                copy, tried = (), iter((colors[twin[e]],))
+                copy, tried, conflict = (), iter((colors[twin[e]],)), 1 << twin[e]
             else:
                 colors[e] = fresh
                 copy = exists_copy(up, down, plan, active=assigned, colors=colors, anchor=e)
                 if copy is None:  # no color of e completes a rainbow copy
-                    tried = iter(range(fresh + 1))
+                    tried, conflict = iter(range(fresh + 1)), 0
                 else:  # it stays rainbow under every color its other elements do not use
                     tried = iter(sorted({colors[x] for x in copy[1:]}))
+                    conflict = sum(1 << x for x in copy[1:])
         for c in tried:
             if c == fresh:
                 classes.append(0)
             elif classes[c] & comp[e]:
+                conflict |= classes[c] & comp[e]
                 continue
             colors[e] = c
-            if copy is None or not exists_copy(
+            found = copy is not None and exists_copy(
                 up, down, plan, active=assigned, colors=colors, anchor=e
-            ):
+            )
+            if not found:
                 classes[c] |= bit
-                before[e], reach[c] = reach[c], reach[c] | comp[e]
-                frames.append((e, fresh, copy, tried))
-                backtrack = False
+                frames.append((e, fresh, copy, tried, conflict))
+                failed = 0
                 break
+            conflict |= sum(1 << x for x in found[1:])
         else:  # no color of e is left
             del classes[fresh:]
             assigned ^= bit
-            if not frames:
+            if not conflict:
                 return None
-            backtrack = True
+            failed = conflict
 
 
 def _forces(host: Poset, pattern: Poset, budget_s=DEFAULT_BUDGET_S) -> bool:

@@ -133,6 +133,10 @@ def test_a_value_error_from_a_bug_is_an_internal_error(monkeypatch, capsys):
         (["sigma", "-1_0", "1"], None, "argument n '-1_0' is not an integer"),
         (["construct", "chain", "-1_0"], None, "construct parameter '-1_0' is not an integer"),
         (["sigma", "9" * 20, "1"], None, "ground set size n=" + "9" * 20 + " is too large"),
+        # the sum would have more digits than an int may print
+        (["sigma", "20000", "1"], None, "ground set size n=20000 is too large"),
+        (["sigma", str(2**64 - 1), "1"], None, f"ground set size n={2**64 - 1} is too large"),
+        (["sigma", "9" * 400, "1"], None, "ground set size n=" + "9" * 400 + " is too large"),
         (["gen", "--max-size", "\u0663", "--out", "{f}"], None, "option --max-size '\u0663'"),
         (["m-value", "{f}", "--cap", "1_0"], "poset n=1\n", "option --cap '1_0' is not"),
         (["embed", "--tree", "{f}", "--seed", "1_0"], "poset n=1\n", "option --seed '1_0'"),
@@ -155,6 +159,9 @@ def test_a_value_error_from_a_bug_is_an_internal_error(monkeypatch, capsys):
         "sigma-minus-underscore",
         "construct-minus-underscore",
         "sigma-too-large",
+        "sigma-too-long",
+        "sigma-too-long-2**64-1",
+        "sigma-too-long-for-a-float",
         "gen-max-size",
         "m-value-cap",
         "embed-seed",
@@ -198,6 +205,59 @@ def test_sigma_takes_every_ground_set_math_comb_takes(capsys):
         assert sigma(n, 0) == 0
     assert run_cli(capsys, "sigma", str(10**20), "0") == (0, '{"schema": 1, "value": 0}\n')
     assert sigma(2**64 - 1, 0) == 0 and sigma(5, 2) == 20
+
+
+def test_sigma_prints_every_sum_an_int_may_print(capsys):
+    # 2**n / (n + 1) <= C(n, n // 2) <= sigma(n, k) <= 2**n for k >= 1, so
+    # under the default limit of 4,300 digits every such sum from n = 14,299
+    # on is refused unseen, and the n below it once the sum is known
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for argv, printed in [
+            (("14000", "1"), True),
+            (("14290", "1"), True),  # 4,300 digits
+            (("14290", "14291"), False),  # 2**14290, 4,302 digits
+            (("14299", "1"), False),
+            (("20000", "0"), True),  # an empty sum
+        ]:
+            code = main(["sigma", *argv])
+            out, err = capsys.readouterr()
+            assert code == (0 if printed else 2), argv
+            if printed:
+                n, k = map(int, argv)
+                assert json.loads(out)["value"] == sigma(n, k) and err == ""
+            else:
+                message = f"ground set size n={argv[0]} is too large: sigma has over 4300 digits"
+                assert out == "" and err == f"error: {message}\n"
+        sys.set_int_max_str_digits(0)  # no limit
+        code, out = run_cli(capsys, "sigma", "20000", "1")
+        assert code == 0 and json.loads(out)["value"] == math.comb(20000, 10000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sigma", "4"], "the following arguments are required: k"),
+        (["sigma", "4", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ],
+    ids=["missing-argument", "unknown-option", "bad-subcommand"],
+)
+def test_argparse_usage_errors_are_one_line(capsys, argv, named):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith("error: rainbowposet") and named in lines[0]
+
+
+def test_help_is_the_full_text(capsys):
+    assert main(["sigma", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: rainbowposet sigma [-h] n k\n") and captured.err == ""
 
 
 def test_gen_manifest(tmp_path, capsys):

@@ -332,7 +332,7 @@ class TestForcing:
 
     @pytest.mark.parametrize(
         "deleted, calls, found",
-        [(None, 912, 410), ("t'_3", 912, 410), ("b'_0", 20, 4)],
+        [(None, 689, 299), ("t'_3", 689, 299), ("b'_0", 28, 8)],
         ids=["o_jk(2,4)", "t'_3-deleted", "b'_0-deleted"],
     )
     def test_search_path_is_pinned(self, copy_searches, deleted, calls, found):
@@ -340,8 +340,8 @@ class TestForcing:
         # find a copy: the one unanchored search that finds a copy under
         # the rank coloring (the first leaf, which refutes none of these
         # hosts), then at every loop node the one search under the fresh
-        # color and the merge and twin cuts decide most colors, which the
-        # verdicts alone do not show. A refutation adds the one re-check
+        # color, and the jumps and the twin cut decide most colors, which
+        # the verdicts alone do not show. A refutation adds the one re-check
         # of `has_rainbow_copy`.
         host = o_jk(2, 4)
         if deleted is not None:
@@ -530,9 +530,13 @@ def _first_refutation(host, copies):
     return first(0, 0)
 
 
+# six elements on two levels with no twins and no 3-chain
+CROWN = make_poset(6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)])
+
+
 class TestFirstRefutation:
     """The search returns the lexicographically first refutation, and the
-    merge and twin cuts at every node of its loop keep it."""
+    jumps and the twin cut of its loop keep it."""
 
     CASES = [
         (host, pattern)
@@ -541,14 +545,25 @@ class TestFirstRefutation:
         for pattern in PATTERNS
         if pattern.n <= host.n
     ] + [
-        # a merge cut without clause (iii) of `_never_linked` misses the
-        # first refutation on these, and on no host of at most 7 elements
+        # two classes of each first refutation are linked only by a
+        # comparable pair of elements colored after both classes began: a
+        # cut that takes such a pair for one that never links misses these
+        # refutations, and it misses none on a host of at most 7 elements
         (Poset(host), Poset(pattern))
         for host, pattern in [
             ((136, 208, 224, 0, 0, 192, 128, 0), (0, 8, 8, 0)),
             ((136, 208, 224, 0, 0, 192, 128, 0), (8, 12, 0, 0)),
             ((144, 252, 0, 224, 0, 0, 128, 0), (0, 12, 0, 0)),
+            # the loop jumps past several frames before its first refutation
+            ((0, 72, 112, 64, 96, 64, 0), (0, 8, 8, 0)),
+            ((4, 120, 0, 64, 96, 64, 0), (0, 8, 8, 0)),
+            ((100, 120, 0, 112, 64, 0, 0), (8, 12, 0, 0)),
         ]
+    ] + [
+        # the crown comes before the 3-chain along the degree order, and a
+        # failure past it may not involve it
+        (disjoint_sum(CROWN, chain(3)), pattern)
+        for pattern in PATTERNS
     ]
 
     def _decide_all(self, copy_searches):
@@ -607,27 +622,38 @@ class TestFirstRefutation:
         assert [anchor for anchor, _ in copy_searches] == [None]
 
     def test_both_cuts_fire_and_keep_every_refutation(self, monkeypatch, copy_searches):
+        # the twin cut is switched off by hiding every twin; the jumps have
+        # no switch, and `test_a_jump_passes_elements_no_failure_involves`
+        # shows them
         from rainbowposet import forcing
 
         found, calls = self._decide_all(copy_searches)
         with monkeypatch.context() as m:
-            m.setattr(forcing, "_never_linked", lambda *args: False)
-            no_merge, no_merge_calls = self._decide_all(copy_searches)
-        with monkeypatch.context() as m:
             m.setattr(forcing, "_previous_twins", lambda up, down: [-1] * len(up))
             no_twins, no_twin_calls = self._decide_all(copy_searches)
-        assert no_merge == found == no_twins
-        assert calls < no_merge_calls and calls < no_twin_calls
+        assert no_twins == found
+        assert calls < no_twin_calls
         # pinned, so that a weaker cut (a twin floor in place of its twin's
-        # one color, say) shows although it keeps every answer; the rank
-        # coloring refutes most cases with one copy search or none, and
-        # each loop node but a twin's makes one search under the fresh color
-        assert calls == 3311
+        # one color, or a conflict that names more positions, say) shows
+        # although it keeps every answer; the rank coloring refutes most
+        # cases with one copy search or none, and each loop node but a
+        # twin's makes one search under the fresh color
+        assert calls == 3548
+
+    def test_a_jump_passes_elements_no_failure_involves(self, copy_searches):
+        # Along the degree order the crown comes first, and it has no
+        # 3-chain, so every branch fails inside the 3-chain for reasons
+        # among the chain's elements alone: when the chain's first element
+        # runs out of colors the search ends, with no return to the crown.
+        # Backtracking one element at a time, as the loop did before it
+        # jumped, tried every coloring of the crown: 612 copy searches.
+        assert _forces(disjoint_sum(CROWN, chain(3)), chain(3))
+        assert len(copy_searches) == 18
 
     def test_loop_state_is_built_once_and_only_when_the_first_leaf_fails(self, monkeypatch):
         # The two refutations below are first leaves, which build no loop
-        # state and call no cut. A search whose first leaf holds a copy
-        # builds the cuts' state once, where its loop starts.
+        # state. A search whose first leaf holds a copy builds the twin
+        # cut's state once, where its loop starts.
         from rainbowposet import forcing
 
         setups = []
@@ -638,7 +664,6 @@ class TestFirstRefutation:
             return previous_twins(up, down)
 
         monkeypatch.setattr(forcing, "_previous_twins", counted)
-        monkeypatch.setattr(forcing, "_never_linked", None)  # must not be called
         assert refuting_coloring(antichain(4), antichain(2)).colors == (0, 0, 0, 0)
         assert refuting_coloring(chain(3), vee()).colors == (0, 1, 2)
         assert setups == []
@@ -704,6 +729,14 @@ class TestDecisionOrder:
         # whole first layer is colored
         cube = family_poset(SetFamily(5, tuple(range(32))))
         assert _forces(cube, make_poset(4, [(1, 2), (2, 3)]), budget_s=5)
+        assert len(copy_searches) <= 20_000
+
+    def test_the_six_cube_forces_k22(self, copy_searches):
+        # about 10,200 copy searches: a branch fails for reasons among a
+        # few cube elements, and the loop jumps back to the deepest of
+        # them; backtracking one element at a time made 733,470 (about 14 s)
+        cube = family_poset(SetFamily(6, tuple(range(64))))
+        assert _forces(cube, complete_multilevel([2, 2]), budget_s=5)
         assert len(copy_searches) <= 20_000
 
     def test_previous_twins_come_first_along_the_degree_order(self, monkeypatch):
