@@ -50,10 +50,13 @@ def _search_source(pattern_up, pattern_down, twins, order, anchored, colored):
     to it, ANDed in once, in the loop that binds x{j}: up[x{j}] when step i
     lies above step j, down[x{j}] when below, ~(up[x{j}] | down[x{j}] |
     b{j}) when incomparable (b{j} = 1 << x{j}, so the used element is out).
-    p{i}_{j} is step i's mask after the terms of steps 0..j (two steps
-    with the same mask share one name, bound before a loop takes bits out
-    of it). With colors, s{i} holds the color
-    bits of x0..x{i}, and a candidate whose color is taken is skipped.
+    A term reads its rows inline where it is used, with no name of its
+    own: a name would be bound even when the next step's mask turns out
+    empty, the common dead end. Masks are shared: p{i}_{j} is step i's
+    mask after the terms of steps 0..j, and two steps with the same mask
+    share one name, bound before a loop takes bits out of it. With colors,
+    s{i} holds the color bits of x0..x{i}, and a candidate whose color is
+    taken is skipped.
 
     The search returns the first complete copy, [x0, ..., x{m-1}], in the
     index order of the images along the steps. Twin images ascend in it:
@@ -85,47 +88,24 @@ def _search_source(pattern_up, pattern_down, twins, order, anchored, colored):
     def narrow(j, depth, leave):
         """The terms of x{j} on every later step, after x{j} is bound; a
         step with a later twin step than j restarts from that one's mask."""
-        rels = {}
+        # the anchor is not in `avail`, so its own bit needs no clearing
+        used = "" if anchored and j == 0 else f" | b{j}"
+        texts = {}  # each later step's mask after this step's term
         for k in range(j + 1, m):
             if after[k] == j:
-                rels[k] = "twin"
+                # what is left of c{j} lies above x{j}, and b{j} is out of it
+                texts[k] = f"c{j} & ~(up[x{j}] | down[x{j}])"
             elif after[k] > j:
                 continue
             elif pattern_up[order[j]] >> order[k] & 1:
-                rels[k] = "up"
+                texts[k] = f"{masks[k]} & up[x{j}]"
             elif pattern_down[order[j]] >> order[k] & 1:
-                rels[k] = "down"
+                texts[k] = f"{masks[k]} & down[x{j}]"
             else:
-                rels[k] = "incomp"
-
-        def base(k):
-            return f"c{j}" if rels[k] == "twin" else masks[k]
-
-        # one term per distinct mask: a row read once is not named
-        kinds = [kind for _, kind in {(base(k), kind) for k, kind in rels.items()}]
-        incomp = kinds.count("incomp")
-        unrelated = (incomp > 0) + ("twin" in kinds)
-        rows = {}
-        for row in ("up", "down"):
-            rows[row] = f"{row}[x{j}]"
-            if kinds.count(row) + unrelated > 1:
-                emit(depth, f"{row[0]}{j} = {rows[row]}")
-                rows[row] = f"{row[0]}{j}"
-        # the anchor is not in `avail`, so its own bit needs no clearing
-        used = "" if anchored and j == 0 else f" | b{j}"
-        terms = {"up": rows["up"], "down": rows["down"]}
-        terms["incomp"] = f"~({rows['up']} | {rows['down']}{used})"
-        if incomp > 1:
-            emit(depth, f"n{j} = {terms['incomp']}")
-            terms["incomp"] = f"n{j}"
-        # what is left of c{j} lies above x{j}, and b{j} is out of it
-        terms["twin"] = f"~({rows['up']} | {rows['down']})"
-
-        def mask(k):
-            return f"{base(k)} & {terms[rels[k]]}"
+                texts[k] = f"{masks[k]} & ~(up[x{j}] | down[x{j}]{used})"
 
         k = j + 1
-        first = mask(k)
+        first = texts[k]
         emit(depth, f"c{k} = {first}")
         if k == m - 1 and not colored:  # any candidate completes the copy
             emit(depth, f"if c{k}:")
@@ -136,10 +116,9 @@ def _search_source(pattern_up, pattern_down, twins, order, anchored, colored):
         emit(depth + 1, leave)
         # c{k} is still whole here: its loop has not taken a bit out yet
         named = {}
-        for k in rels:
+        for k, text in texts.items():
             if k == j + 1:
                 continue
-            text = mask(k)
             if text not in named:
                 named[text] = f"p{k}_{j}"
                 emit(depth, f"{named[text]} = {f'c{j + 1}' if text == first else text}")

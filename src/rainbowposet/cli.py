@@ -105,14 +105,43 @@ class _Parser(argparse.ArgumentParser):
     (or a minus, a point and a digit) as a value: no option starts with a
     digit, and argparse's own test, digits or a decimal after the minus,
     sends `-1_0` to its option parser, whose usage error does not name it.
-    `add_parser` builds the subparsers with this class too."""
+    `add_parser` builds the subparsers with this class too.
+
+    argparse sets an unknown option aside before it fills the positional
+    arguments, so `sigma --bogus 1` takes 1 as n and finds k missing. A
+    parser that finds an argument missing names the unknown options among
+    its own arguments instead, when there are any."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
+    def parse_known_args(self, args=None, namespace=None):
+        self._arguments = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def _unknown_option(self, arg):
+        """Whether argparse reads `arg` as an option that this parser does
+        not know: not a value, nor a known option, an abbreviation of one,
+        or a short option with its value attached."""
+        if not arg.startswith("-") or " " in arg or self._negative_number_matcher.match(arg):
+            return False
+        flag = arg.split("=", 1)[0]
+        return not any(
+            known.startswith(flag) or (known[1] != "-" and flag.startswith(known))
+            for action in self._actions
+            for known in action.option_strings
+        )
+
     def error(self, message):
         """A usage error as one `error:` line, as every other one is."""
+        if message.startswith("the following arguments are required"):
+            arguments = self._arguments
+            if "--" in arguments:
+                arguments = arguments[: arguments.index("--")]
+            unknown = [arg for arg in arguments if self._unknown_option(arg)]
+            if unknown:
+                message = f"unrecognized arguments: {' '.join(unknown)}"
         self.exit(2, f"error: {self.prog}: {message}\n")
 
 

@@ -243,8 +243,24 @@ def test_sigma_prints_every_sum_an_int_may_print(capsys):
         (["sigma", "4"], "the following arguments are required: k"),
         (["sigma", "4", "1", "--bogus"], "unrecognized arguments: --bogus"),
         (["bogus"], "invalid choice: 'bogus'"),
+        # argparse sets the unknown option aside and then finds k missing
+        (["sigma", "--bogus", "1"], "unrecognized arguments: --bogus"),
+        (["forces", "--budget", "5", "--nope", "a", "b"], "unrecognized arguments: --nope"),
+        # known options, abbreviated or with a value attached, are not named
+        (["--text", "sigma", "4"], "the following arguments are required: k"),
+        (["forces", "--bud", "5", "a"], "the following arguments are required: pattern"),
+        (["construct", "-ofile"], "the following arguments are required: name"),
     ],
-    ids=["missing-argument", "unknown-option", "bad-subcommand"],
+    ids=[
+        "missing-argument",
+        "unknown-option",
+        "bad-subcommand",
+        "unknown-option-first",
+        "unknown-option-between",
+        "missing-k-after-option",
+        "missing-argument-after-abbreviation",
+        "missing-argument-after-short-option",
+    ],
 )
 def test_argparse_usage_errors_are_one_line(capsys, argv, named):
     assert main(argv) == 2

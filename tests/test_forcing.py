@@ -591,6 +591,43 @@ class TestFirstRefutation:
         )
         assert 0 < first_leaf < len(found) - found.count(None)
 
+    def test_jumps_keep_every_refutation_when_copies_take_the_later_twin(self, monkeypatch):
+        # The kernel returns each copy through the earlier of two twins, so
+        # a twin that fails is named by the copies found beside it too. A
+        # plain search that prefers larger host images leaves that to the
+        # twin's own reason in its frame's conflict mask.
+        from rainbowposet import forcing
+
+        def later_first(copies):
+            copies = sorted(copies, key=lambda copy: sorted(copy, reverse=True), reverse=True)
+
+            def search(host_up, host_down, plan, *, active=None, colors=None, anchor=None):
+                for copy in copies:
+                    if (
+                        (active is None or all(active >> x & 1 for x in copy))
+                        and (anchor is None or anchor in copy)
+                        and (colors is None or len({colors[x] for x in copy}) == len(copy))
+                    ):
+                        if anchor is None:
+                            return list(copy)
+                        return [anchor, *(x for x in copy if x != anchor)]
+                return None
+
+            return search
+
+        # two twin-rich hosts, as up rows (twins 1, 5 and 4, 6; twins 4, 5):
+        # without that reason the loop jumps past a previous twin's frame
+        # and finds no refutation of the first and a later one of the second
+        twin_rich = [
+            (Poset(up), antichain(3))
+            for up in [(220, 0, 0, 132, 4, 0, 4, 0), (130, 0, 202, 130, 2, 2, 2, 0)]
+        ]
+        for host, pattern in self.CASES + twin_rich:
+            copies = naive_induced_copies(host, pattern)
+            monkeypatch.setattr(forcing, "exists_copy", later_first(copies))
+            refutation = rainbow_forces(host, pattern).refutation
+            assert (refutation and refutation.colors) == _first_refutation(host, copies)
+
     def test_first_fit_along_the_rank_order_is_rank_minus_one(self):
         # The search's first leaf gives each element its first feasible
         # color along the rank-then-index order, which is rank - 1: the

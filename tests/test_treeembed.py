@@ -615,6 +615,11 @@ class TestEmbedUniversal:
         with pytest.raises(PreconditionViolated):
             embed_universal(chain(3), universal_tree(2), Coloring((0,) * 7))
 
+    def test_rejects_an_improper_host_coloring(self):
+        # a pattern that fits, so the coloring is what is refused
+        with pytest.raises(PreconditionViolated, match="host coloring must be proper"):
+            embed_universal(chain(2), universal_tree(2), Coloring((0,) * 7))
+
     def test_wedge_and_chain(self):
         ut = universal_tree(3)
         rng = random.Random("w")
