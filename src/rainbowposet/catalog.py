@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from functools import lru_cache
 from itertools import combinations
@@ -202,6 +200,9 @@ def posets_by_relation_filter(n: int):
 def dump_catalog(directory: str, max_n: int) -> dict:
     """Write one poset text file per class, named by canonical-key hash,
     plus a manifest listing counts per size. Returns the manifest."""
+    import hashlib  # not at module level: it would slow every import
+    import json
+
     _check_max_n(max_n)
     os.makedirs(directory, exist_ok=True)
     counts = {}

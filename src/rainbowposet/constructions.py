@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadParams
 from .poset import (
@@ -42,7 +42,11 @@ def organ(k: int) -> Poset:
 
 
 def harp(k: int) -> Poset:
-    """Organ with one global minimum and one global maximum added."""
+    """Organ with one global minimum and one global maximum added; size
+    k(k+1)/2 + 2."""
+    if k < 1:
+        raise BadParams("harp needs k >= 1")
+    check_poset_size(k * (k + 1) // 2 + 2, f"harp({k})")
     return adjoin_extremum(adjoin_extremum(organ(k), "bottom"), "top")
 
 
@@ -115,24 +119,29 @@ def blowup(p: Poset, pi) -> Poset:
 def downtree(k: int, h: int) -> Poset:
     """Tree poset whose cover graph is the complete k-ary tree of height h
     (h = vertices on a root-leaf path), rooted at the unique maximum."""
+    return _complete_tree(k, h, "downtree")
+
+
+def uptree(k: int, h: int) -> Poset:
+    return dual(_complete_tree(k, h, "uptree"))
+
+
+def _complete_tree(k: int, h: int, name: str) -> Poset:
+    """downtree(k, h); an error names `name`, the builder called."""
     if k < 1 or h < 1:
-        raise BadParams("downtree needs k, h >= 1")
+        raise BadParams(f"{name} needs k, h >= 1")
     if k == 1:
         return chain(h)
     # With k >= 2, 64 levels already exceed the cap, so a larger h is
     # rejected before k**h grows huge.
     size = (k ** min(h, 64) - 1) // (k - 1)
-    check_poset_size(size, f"downtree({k}, {h})")
+    check_poset_size(size, f"{name}({k}, {h})")
     covers = []
     for v in range(size):
         first_child = k * v + 1
         if first_child < size:
             covers.extend((k * v + 1 + c, v) for c in range(k))
     return make_poset(size, covers)
-
-
-def uptree(k: int, h: int) -> Poset:
-    return dual(downtree(k, h))
 
 
 def d_jk(j: int, k: int) -> Poset:
@@ -196,8 +205,7 @@ def a3_witness() -> Poset:
 # --- the universal tree -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniversalTree:
+class UniversalTree(NamedTuple):
     """Universal tree host of order k plus the structural tags the embedding
     algorithm navigates by.
 

@@ -7,12 +7,11 @@ assertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._copies import exists_copy, plan_for
 from .catalog import order_ideals
@@ -24,18 +23,40 @@ LA_STAR_CAP = 4
 MINMAX_CAP = 8
 
 
-@dataclass(frozen=True)
 class SetFamily:
-    """Distinct subsets of [n], each a bitmask over ground elements 1..n."""
+    """Distinct subsets of [n], each a bitmask over ground elements 1..n.
+    Immutable, compared and hashed by (n, sets); not a NamedTuple, as its
+    `len` is the number of sets."""
 
-    n: int
-    sets: tuple
+    __slots__ = ("n", "sets")
 
-    def __post_init__(self):
-        if any(m >> self.n for m in self.sets):
+    def __init__(self, n: int, sets: tuple):
+        if any(m >> n for m in sets):
             raise BadParams("set mask outside the ground set")
-        if list(self.sets) != sorted(set(self.sets)):
+        if list(sets) != sorted(set(sets)):
             raise BadParams("sets must be sorted and distinct")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sets", sets)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.sets) == (other.n, other.sets)
+
+    def __hash__(self):
+        return hash((self.n, self.sets))
+
+    def __repr__(self):
+        return f"SetFamily(n={self.n!r}, sets={self.sets!r})"
+
+    def __reduce__(self):
+        return SetFamily, (self.n, self.sets)
 
     @classmethod
     def from_masks(cls, n, masks) -> "SetFamily":
@@ -105,8 +126,7 @@ def sigma(n: int, k: int) -> int:
 # --- maximal chains -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinMaxReport:
+class MinMaxReport(NamedTuple):
     """Min-max classification of all maximal chains of the cube.
 
     Chains meeting the family in at least two sets are grouped by the
@@ -162,8 +182,7 @@ def minmax_partition(f: SetFamily) -> MinMaxReport:
 # --- extremal searches ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaResult:
+class LaResult(NamedTuple):
     """The first largest family found (`witness`, of size `value`), and the
     largest size a branch cut by the node budget could reach (`upper`, equal
     to `value` when nothing was cut)."""
@@ -293,7 +312,7 @@ def la_rainbow_star(n: int, pattern: Poset) -> LaResult:
     verdict = rainbow_forces(family_poset(res.witness), pattern, None)
     if verdict.forces:
         raise AssertionError("the refutable witness has no refuting coloring")
-    return replace(res, coloring=verdict.refutation)
+    return res._replace(coloring=verdict.refutation)
 
 
 def middle_layers(n: int, k: int, include_extremes: bool = False) -> SetFamily:

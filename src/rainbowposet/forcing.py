@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._copies import exists_copy, plan_for
 from .errors import BadParams, ForcingTimeout, PreconditionViolated
@@ -32,20 +31,41 @@ from .catalog import DEFAULT_CAP, posets_of_size
 DEFAULT_BUDGET_S = 900.0
 
 
-@dataclass(frozen=True)
 class Coloring:
     """Color ids per element, in canonical form: scanning elements in index
     order, each first-seen color id is exactly one more than the maximum
-    seen so far (starting at 0)."""
+    seen so far (starting at 0). Immutable, compared and hashed by `colors`;
+    not a NamedTuple, as its `len` is the element count."""
 
-    colors: tuple
+    __slots__ = ("colors",)
 
-    def __post_init__(self):
+    def __init__(self, colors: tuple):
         seen = -1
-        for c in self.colors:
+        for c in colors:
             if c > seen + 1 or c < 0:
                 raise PreconditionViolated("coloring is not in canonical form")
             seen = max(seen, c)
+        object.__setattr__(self, "colors", colors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.colors == other.colors
+
+    def __hash__(self):
+        return hash((self.colors,))
+
+    def __repr__(self):
+        return f"Coloring(colors={self.colors!r})"
+
+    def __reduce__(self):
+        return Coloring, (self.colors,)
 
     @classmethod
     def from_values(cls, values) -> "Coloring":
@@ -66,8 +86,7 @@ class Coloring:
         return len(self.colors)
 
 
-@dataclass(frozen=True)
-class ForcingVerdict:
+class ForcingVerdict(NamedTuple):
     forces: bool
     refutation: Optional[Coloring]
 
@@ -418,8 +437,7 @@ def search_M(pattern: Poset, size_bound: int, budget_s=DEFAULT_BUDGET_S):
     return sorted(out, key=canonical_key)
 
 
-@dataclass(frozen=True)
-class MValue:
+class MValue(NamedTuple):
     """Exact minimum forcing size when known, else a bracketing interval."""
 
     lower: int

@@ -22,8 +22,17 @@ def _scan_bits(mask: int) -> tuple:
     return tuple(out)
 
 
+def _bits_table(width: int) -> tuple:
+    """`_scan_bits(m)` for every m < 2**width, by doubling: the positions of
+    m + 2**b are those of m, then b."""
+    table = [()]
+    for b in range(width):
+        table += [bits + (b,) for bits in table]
+    return tuple(table)
+
+
 # Set bit positions of every mask on up to 10 elements (the catalog sizes).
-_SMALL_BITS = tuple(_scan_bits(mask) for mask in range(1 << 10))
+_SMALL_BITS = _bits_table(10)
 
 
 def _bits(mask: int) -> tuple:

@@ -14,8 +14,7 @@ from __future__ import annotations
 import bisect
 import random
 from array import array
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .constructions import UniversalTree
 from .errors import BadParams, NotATreePoset, PreconditionViolated
@@ -26,8 +25,7 @@ from .poset import Poset, _bits, dual, is_tree_poset, make_poset, rank_partition
 # --- tree classification -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeMeta:
+class TreeMeta(NamedTuple):
     """Distance/side/originator decomposition of a tree poset relative to
     its lowest-indexed maximal element, the base."""
 
@@ -89,8 +87,7 @@ def classify_tree(t: Poset) -> TreeMeta:
 # --- certificates -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmbeddingCertificate:
+class EmbeddingCertificate(NamedTuple):
     """Injective pattern-to-host map with the colors it consumed."""
 
     mapping: tuple  # pattern element i -> host element mapping[i]

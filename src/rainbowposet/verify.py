@@ -11,10 +11,10 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb
+from typing import NamedTuple
 
 from . import (
     a3_witness,
@@ -58,8 +58,7 @@ from . import (
 from .families import SetFamily
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

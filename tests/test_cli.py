@@ -282,6 +282,46 @@ def test_gen_manifest(tmp_path, capsys):
     assert json.loads(out)["counts"] == {"1": 1, "2": 2, "3": 5, "4": 16}
 
 
+# Imports the CLI in a fresh interpreter, prints the heavy standard modules
+# it loaded, then runs `gen` (which needs hashlib) into the directory given.
+_IMPORT_THEN_GEN = """
+import sys
+import rainbowposet.cli as cli
+print(sorted(m for m in ("dataclasses", "inspect", "hashlib") if m in sys.modules))
+sys.exit(cli.main(["gen", "--max-size", "3", "--out", sys.argv[1]]))
+"""
+
+# sha256 over the sorted names and texts of the files `gen --max-size 3`
+# writes: the file names are canonical-key hashes
+_GEN3_DIGEST = "3f73d75f69135257d543895c5fb905617f12c57a26ab6480961e7b2b5187e999"
+
+
+def test_import_loads_no_heavy_modules_and_gen_still_writes_the_catalog(tmp_path, src_env):
+    out = tmp_path / "cat"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_THEN_GEN, str(out)],
+        capture_output=True, text=True, env=src_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, payload = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert json.loads(payload)["counts"] == {"1": 1, "2": 2, "3": 5}
+    names = sorted(path.name for path in out.iterdir())
+    assert names[0] == "manifest.json" and len(names) == 9
+    blob = "".join(name + "\n" + (out / name).read_text() for name in names)
+    assert hashlib.sha256(blob.encode()).hexdigest() == _GEN3_DIGEST
+
+
+def test_check_result_is_an_immutable_record():
+    from rainbowposet import verify
+
+    r = verify.CheckResult("alpha", True, "fine", 0.1)
+    assert r == verify.CheckResult(name="alpha", passed=True, detail="fine", seconds=0.1)
+    assert repr(r) == "CheckResult(name='alpha', passed=True, detail='fine', seconds=0.1)"
+    with pytest.raises(AttributeError):
+        r.passed = False
+
+
 def test_embed_reports_verified(tmp_path, capsys):
     tree = tmp_path / "c2.poset"
     run_cli(capsys, "construct", "chain", "2", "-o", str(tree))
@@ -395,8 +435,9 @@ def test_a_malformed_line_is_named_with_its_format_and_number(
         ["downtree", "2", "200"],
         ["multilevel", "1", "100000000000000000000"],
         ["chain", "4097"],
+        ["harp", "90"],
     ],
-    ids=["antichain", "chain", "downtree", "multilevel", "chain-4097"],
+    ids=["antichain", "chain", "downtree", "multilevel", "chain-4097", "harp-90"],
 )
 def test_oversized_construction_is_a_usage_error(capsys, params):
     code = main(["construct", *params])
@@ -407,6 +448,22 @@ def test_oversized_construction_is_a_usage_error(capsys, params):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "exceeds the cap" in lines[0]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (["harp", "0"], "harp needs k >= 1"),
+        (["harp", "100"], "harp(100) exceeds the cap of 4096 elements"),
+        (["uptree", "2", "0"], "uptree needs k, h >= 1"),
+        (["uptree", "2", "200"], "uptree(2, 200) exceeds the cap of 4096 elements"),
+        (["downtree", "0", "2"], "downtree needs k, h >= 1"),
+    ],
+    ids=["harp-0", "harp-100", "uptree-0", "uptree-200", "downtree-0"],
+)
+def test_construction_errors_name_the_construction(capsys, params, message):
+    assert main(["construct", *params]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

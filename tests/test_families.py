@@ -1,5 +1,6 @@
 """Boolean-lattice set families: masses, chains and extremal searches."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -12,6 +13,7 @@ from rainbowposet import (
     BadParams,
     CapExceeded,
     Coloring,
+    LaResult,
     SetFamily,
     antichain,
     are_isomorphic,
@@ -87,6 +89,25 @@ class TestBasics:
     def test_distinctness_enforced(self):
         with pytest.raises(BadParams):
             SetFamily(3, (1, 1))
+
+    def test_record_behaviour(self):
+        # an immutable record compared, hashed and shown by (n, sets), as a
+        # frozen dataclass was; its len is the number of sets
+        f = SetFamily(3, (0, 1, 6))
+        assert f == SetFamily(n=3, sets=(0, 1, 6)) and f != SetFamily(4, (0, 1, 6))
+        assert f != (3, (0, 1, 6)) and hash(f) == hash((3, (0, 1, 6)))
+        assert repr(f) == "SetFamily(n=3, sets=(0, 1, 6))"
+        assert len(f) == 3 and not SetFamily(2, ())
+        assert pickle.loads(pickle.dumps(f)) == f
+        with pytest.raises(AttributeError):
+            f.sets = ()
+        with pytest.raises(AttributeError):
+            f.n = 4
+        assert (f.n, f.sets) == (3, (0, 1, 6))
+        with pytest.raises(BadParams, match="^sets must be sorted and distinct$"):
+            SetFamily(2, (3, 1))
+        with pytest.raises(BadParams, match="^set mask outside the ground set$"):
+            SetFamily(2, (4,))
 
 
 class TestSperner:
@@ -184,6 +205,18 @@ class TestExtremalSearches:
         p = family_poset(res.witness)
         assert is_proper(p, res.coloring)
         assert not has_rainbow_copy(p, res.coloring, antichain(2))
+
+    def test_la_result_coloring_defaults_to_none(self):
+        # la_star leaves the coloring at its default; la_rainbow_star fills
+        # it in and keeps the other fields
+        res = la_star(3, [chain(2)])
+        assert res.coloring is None and res == LaResult(res.value, res.witness, res.upper)
+        assert repr(res) == (
+            "LaResult(value=3, witness=SetFamily(n=3, sets=(1, 2, 4)), upper=3, coloring=None)"
+        )
+        lar = la_rainbow_star(3, antichain(2))
+        assert isinstance(lar.coloring, Coloring) and len(lar.coloring) == lar.value == 5
+        assert lar._replace(coloring=None) == LaResult(5, lar.witness, 5)
 
     def test_empty_pattern_is_rejected(self):
         # every family holds the empty pattern, so no witness avoids it

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -50,7 +51,7 @@ from rainbowposet import (
     verify_linear_sum_closure,
 )
 from rainbowposet._copies import plan_for
-from rainbowposet.forcing import _forces
+from rainbowposet.forcing import ForcingVerdict, MValue, _forces
 from rainbowposet.poset import _is_connected, _previous_twins
 from test_canonical_keys import random_labeled_posets
 from test_copies import PATTERNS
@@ -106,6 +107,33 @@ class TestColoring:
         with pytest.raises(PreconditionViolated):
             Coloring((1, 0))
         assert Coloring.from_values(("x", "y", "x")).colors == (0, 1, 0)
+
+    def test_record_behaviour(self):
+        # an immutable record compared, hashed and shown by its colors, as
+        # a frozen dataclass was; its len is the element count
+        a = Coloring((0, 1, 0))
+        assert a == Coloring(colors=(0, 1, 0)) and a != Coloring((0, 1, 1))
+        assert a != (0, 1, 0) and hash(a) == hash(((0, 1, 0),))
+        assert repr(a) == "Coloring(colors=(0, 1, 0))"
+        assert len(a) == 3 and a.num_colors == 2 and not Coloring(())
+        assert pickle.loads(pickle.dumps(a)) == a
+        with pytest.raises(AttributeError):
+            a.colors = (0, 0, 0)
+        with pytest.raises(AttributeError):
+            del a.colors
+        assert a.colors == (0, 1, 0)
+        with pytest.raises(PreconditionViolated, match="^coloring is not in canonical form$"):
+            Coloring((0, 2))
+
+    def test_result_records_are_named_tuples(self):
+        verdict = ForcingVerdict(False, Coloring((0, 1)))
+        assert repr(verdict) == "ForcingVerdict(forces=False, refutation=Coloring(colors=(0, 1)))"
+        assert verdict == ForcingVerdict(forces=False, refutation=Coloring((0, 1)))
+        mv = MValue(3, 3, None)
+        assert repr(mv) == "MValue(lower=3, upper=3, witness=None)"
+        assert mv.exact and mv.value == 3 and MValue(2, 4, None).value is None
+        with pytest.raises(AttributeError):
+            mv.lower = 1
 
     def test_is_proper(self):
         assert is_proper(antichain(3), Coloring((0, 0, 0)))

@@ -38,6 +38,14 @@ from rainbowposet import (
     vee,
     wedge,
 )
+from rainbowposet.poset import _SMALL_BITS, _bits, _scan_bits
+
+
+def test_bits_table_is_the_bit_scan():
+    # the table is built by doubling; the scan is the definition
+    assert len(_SMALL_BITS) == 1024
+    assert all(_SMALL_BITS[m] == _scan_bits(m) for m in range(1024))
+    assert _bits(1023) == tuple(range(10)) and _bits(1 << 10 | 5) == (0, 2, 10)
 
 
 @st.composite
